@@ -21,8 +21,7 @@ class SenseBarrier {
     const uint32_t my_sense = sense_.load(std::memory_order_acquire);
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       remaining_.store(parties_, std::memory_order_relaxed);
-      sense_.store(my_sense + 1, std::memory_order_release);
-      sense_.notify_all();
+      publish_and_notify(sense_, my_sense + 1);
     } else {
       spin_wait_until(sense_, [my_sense](uint32_t s) { return s != my_sense; });
     }

@@ -96,6 +96,12 @@ class MpscQueue {
     return true;
   }
 
+  // Single consumer only: the oldest element, left in place; null when empty.
+  T* front() {
+    Node* next = tail_->next.load(std::memory_order_acquire);
+    return next ? &next->value : nullptr;
+  }
+
   bool empty() const { return tail_->next.load(std::memory_order_acquire) == nullptr; }
 
   Doorbell* doorbell() const { return doorbell_; }

@@ -21,10 +21,7 @@ class SpinLock {
 
   bool try_lock() { return !locked_.exchange(true, std::memory_order_acquire); }
 
-  void unlock() {
-    locked_.store(false, std::memory_order_release);
-    locked_.notify_one();
-  }
+  void unlock() { publish_and_notify(locked_, false, Wake::kOne); }
 
  private:
   std::atomic<bool> locked_{false};

@@ -4,7 +4,7 @@
 // threads on few cores), so unbounded spinning would starve the thread that
 // must make progress. Every wait here spins a short, bounded burst and then
 // parks on the atomic via C++20 atomic::wait (a futex on Linux). Producers
-// must call notify after their store.
+// publish with publish_and_notify.
 #pragma once
 
 #include <atomic>
@@ -39,14 +39,31 @@ inline void spin_wait_until(const std::atomic<T>& var, Pred&& pred) {
   }
 }
 
+enum class Wake : uint8_t { kOne, kAll };
+
+// Store `v` to `var` and wake the threads parked on it. The store is seq_cst
+// on purpose: libstdc++'s notify skips the futex wake when a seq_cst load of
+// its waiter count reads zero, and a release store may still sit in the store
+// buffer when that load runs. The signaller could then skip the wake while a
+// waiter that registered itself and re-read the old value parks for good.
+template <typename T>
+inline void publish_and_notify(std::atomic<T>& var, T v, Wake wake = Wake::kAll) {
+  var.store(v, std::memory_order_seq_cst);
+  if (wake == Wake::kOne)
+    var.notify_one();
+  else
+    var.notify_all();
+}
+
 // One-shot completion flag an application thread parks on while the runtime
 // services its slow-path request.
 class Completion {
  public:
-  void signal() {
-    done_.store(1, std::memory_order_release);
-    done_.notify_one();
-  }
+  // The waiter may return (and free a stack-owned Completion) as soon as it
+  // sees the store, so the notify that follows can target a dead address.
+  // That is benign: a futex wake reads no memory, and waits tolerate
+  // spurious wakeups.
+  void signal() { publish_and_notify(done_, uint32_t{1}, Wake::kOne); }
 
   void wait() const {
     spin_wait_until(done_, [](uint32_t v) { return v != 0; });

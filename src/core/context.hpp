@@ -29,10 +29,39 @@ struct PinEntry {
 
 inline constexpr size_t kMaxPins = 8;
 
+// The chunk of this thread's last demand miss on one array: the §4.2
+// read-ahead follows a thread's forward miss stream, not every miss.
+struct MissStream {
+  bool valid = false;
+  rt::ArrayId array = 0;
+  rt::ChunkId last = 0;
+};
+
+inline constexpr size_t kMaxMissStreams = 4;
+
 struct ThreadCtx {
   rt::Cluster* cluster = nullptr;
   rt::NodeId node = rt::kNoNode;
   std::array<PinEntry, kMaxPins> pins{};
+  std::array<MissStream, kMaxMissStreams> streams{};
+  uint32_t next_stream = 0;  // round-robin victim when every slot is taken
+
+  // Record a demand miss on `chunk` and report whether it continues this
+  // thread's stream on `array`: the previous miss there was 1 to
+  // 1 + `depth` chunks behind (the chunks between were read ahead and hit).
+  bool continues_stream(rt::ArrayId array, rt::ChunkId chunk, uint32_t depth) {
+    MissStream* s = nullptr;
+    for (MissStream& m : streams)
+      if (m.valid && m.array == array) s = &m;
+    if (s == nullptr) {
+      s = &streams[next_stream++ % kMaxMissStreams];
+      *s = {true, array, chunk};
+      return false;
+    }
+    const bool follows = chunk > s->last && chunk - s->last <= 1 + uint64_t{depth};
+    s->last = chunk;
+    return follows;
+  }
 
   PinEntry* find_pin(rt::ArrayId array, rt::ChunkId chunk) {
     for (PinEntry& p : pins)
@@ -58,6 +87,7 @@ inline void bind_thread(rt::Cluster& cluster, rt::NodeId node) {
   ThreadCtx& ctx = this_thread_ctx();
   ctx.cluster = &cluster;
   ctx.node = node;
+  ctx.streams = {};  // miss streams of an earlier binding describe other arrays
 }
 
 }  // namespace darray

@@ -462,6 +462,7 @@ class DArray {
     r.index = index;
     r.op_id = op_id;
     r.trace_id = span.corr;
+    r.stream = continues_stream(ctx, c) && mode == PinMode::kRead;
     ctx.cluster->node(ctx.node).submit_local(&r);
     r.done.wait();
     record_pin(slot, d, c, r.granted);
@@ -570,6 +571,7 @@ class DArray {
       r.chunk = c;
       r.index = i;
       r.trace_id = corr;
+      r.stream = continues_stream(ctx, c) && !write;
       ctx.cluster->node(ctx.node).submit_local(&r);
       r.done.wait();
       fn(d.data.load(std::memory_order_acquire), off, in_chunk, done);
@@ -615,9 +617,14 @@ class DArray {
     r.op_id = op_id;
     r.operand = operand;
     r.trace_id = corr;
+    r.stream = continues_stream(ctx, c) && kind == rt::LocalRequest::Kind::kRead;
     ctx.cluster->node(ctx.node).submit_local(&r);
     r.done.wait();
     return r.operand;
+  }
+
+  bool continues_stream(ThreadCtx& ctx, rt::ChunkId c) const {
+    return ctx.continues_stream(meta_->id, c, ctx.cluster->config().prefetch_chunks);
   }
 
   void record_pin(PinEntry* slot, rt::Dentry& d, rt::ChunkId c, rt::DentryState granted) const {

@@ -62,6 +62,18 @@ namespace {
 size_t compute_max_msg_bytes(const ClusterConfig& cfg) {
   return sizeof(MsgHeader) + size_t{cfg.chunk_elems} * sizeof(OpFlushEntry);
 }
+
+// Set on Tx and Rx threads. They never run an inline Tx pass: an Rx thread
+// blocked in a SEND to a peer whose receive ring is empty could not repost
+// its own ring, so two such threads would stall each other; a Tx thread
+// already holds the Tx lock when its pass dispatches.
+thread_local bool t_comm_thread = false;
+
+// A request's data source is consumed (posted zero-copy, or captured into the
+// arena): let its owner recycle it.
+void release_source(std::atomic<uint32_t>* posted_flag) {
+  if (posted_flag) publish_and_notify(*posted_flag, uint32_t{1});
+}
 }  // namespace
 
 CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& cfg,
@@ -144,10 +156,12 @@ void CommLayer::start() {
   }
   tx_thread_ = std::thread([this] { tx_main(); });
   rx_thread_ = std::thread([this] { rx_main(); });
+  inline_ok_.store(true, std::memory_order_release);
 }
 
 void CommLayer::stop() {
   if (!started_) return;
+  inline_ok_.store(false, std::memory_order_release);
   stop_.store(true, std::memory_order_release);
   tx_bell_.ring();
   rx_bell_.ring();
@@ -159,6 +173,20 @@ void CommLayer::stop() {
 void CommLayer::post(TxRequest req) {
   DARRAY_ASSERT_MSG(req.dst != node_id_, "self-sends must be short-circuited in the runtime");
   tx_queue_.push(std::move(req));
+  // Nobody is running the Tx pass: run it here, so the request goes out
+  // without a hand-off to the Tx thread. Comm threads never do (see
+  // t_comm_thread), and neither does anyone before start() or once stop()
+  // has begun.
+  if (!t_comm_thread && inline_ok_.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> lk(tx_mu_, std::try_to_lock);
+    if (lk.owns_lock()) {
+      tx_pass(/*inline_caller=*/true);
+      return;
+    }
+  }
+  // The lock holder may be past its queue drain; the ring makes the Tx
+  // thread run one more pass.
+  tx_bell_.ring();
 }
 
 void CommLayer::fail(const CommError& err) {
@@ -297,6 +325,9 @@ uint32_t CommLayer::acquire_send_buffer() {
     reclaim_send_buffers();
   }
   while (send_free_.empty()) {
+    // Only the Tx thread may park here: the doorbell has one consumer, and
+    // tx_pass keeps inline passes within the free arena.
+    DARRAY_ASSERT_MSG(t_comm_thread, "an inline Tx pass ran out of send buffers");
     // Park on the Tx doorbell with the send CQ armed (CQE arrivals ring the
     // bell), bounded by the earliest completion holdback or retry backoff —
     // recovery may be holding every buffer across a backoff window, and
@@ -329,19 +360,24 @@ uint32_t CommLayer::acquire_send_buffer() {
   return buf;
 }
 
-void CommLayer::post_entry(uint32_t peer, Outstanding e) {
-  rdma::QueuePair* qp = qp_to_peer_[peer];
+rdma::SendWr CommLayer::wr_for(const Outstanding& e) {
   rdma::SendWr wr;
   wr.wr_id = e.wr_id;
   wr.opcode = e.op;
-  // READ pull chunks re-read into their original destination slice (an
-  // idempotent replay); everything else replays from its arena buffer.
+  // READ pull chunks (re-)read into their destination slice (an idempotent
+  // replay); everything else is sent from its arena buffer.
   wr.sge = e.op == rdma::Opcode::kRead
                ? rdma::Sge{e.read_dst, e.len, e.read_lkey}
                : rdma::Sge{buf_ptr(e.buf), e.len, send_mr_.lkey};
   wr.remote_addr = e.remote_addr;
   wr.rkey = e.rkey;
-  wr.signaled = true;  // recovery wants prompt retirement, not batching
+  wr.signaled = true;  // staged and replayed WRs want prompt retirement
+  return wr;
+}
+
+void CommLayer::post_entry(uint32_t peer, Outstanding e) {
+  rdma::QueuePair* qp = qp_to_peer_[peer];
+  const rdma::SendWr wr = wr_for(e);
   obs::trace(obs::Ev::kWrPost, e.trace, static_cast<uint8_t>(e.op),
              static_cast<uint16_t>(node_id_), peer, e.wr_id);
   outstanding_[peer].push_back(std::move(e));
@@ -419,31 +455,35 @@ uint32_t CommLayer::stage_send_msg(TxRequest& req) {
   return buf;
 }
 
-void CommLayer::stage_data_chunks(TxRequest& req, uint64_t now,
-                                  std::deque<Outstanding>& out) {
+template <typename Emit>
+void CommLayer::stage_chunks(const std::byte* src, uint32_t len, uint64_t remote_addr,
+                             uint32_t rkey, uint64_t trace, uint64_t now, Emit&& emit) {
   // Chunked to the arena buffer size so payloads larger than one buffer
-  // (eager fallback of a NAKed rendezvous) survive chaos staging; each chunk
-  // is an independent replayable WRITE to its own remote slice.
+  // (eager fallback of a NAKed rendezvous) survive staging; each chunk is an
+  // independent replayable WRITE to its own remote slice.
   const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-  for (uint32_t off = 0; off < req.data_len; off += max_chunk) {
-    const uint32_t n = std::min(max_chunk, req.data_len - off);
+  for (uint32_t off = 0; off < len; off += max_chunk) {
+    const uint32_t n = std::min(max_chunk, len - off);
     Outstanding e;
     e.buf = acquire_send_buffer();
     e.len = n;
     e.op = rdma::Opcode::kWrite;
-    e.remote_addr = req.data_remote_addr + off;
-    e.rkey = req.data_rkey;
+    e.remote_addr = remote_addr + off;
+    e.rkey = rkey;
     e.deadline_ns = now + cfg_.comm_deadline_ns;
-    e.trace = req.hdr.trace;
+    e.trace = trace;
     e.msg_class = kMsgClassDataWrite;
-    std::memcpy(buf_ptr(e.buf), req.data_src + off, n);
-    out.push_back(std::move(e));
+    std::memcpy(buf_ptr(e.buf), src + off, n);
+    emit(std::move(e));
   }
+}
+
+template <typename Emit>
+void CommLayer::stage_data_chunks(TxRequest& req, uint64_t now, Emit&& emit) {
+  stage_chunks(req.data_src, req.data_len, req.data_remote_addr, req.data_rkey,
+               req.hdr.trace, now, emit);
   // Payload fully captured: the source cacheline may be recycled.
-  if (req.posted_flag) {
-    req.posted_flag->store(1, std::memory_order_release);
-    req.posted_flag->notify_all();
-  }
+  release_source(req.posted_flag);
 }
 
 CommLayer::Outstanding CommLayer::make_send_entry(TxRequest& req, uint64_t now) {
@@ -459,7 +499,8 @@ CommLayer::Outstanding CommLayer::make_send_entry(TxRequest& req, uint64_t now) 
 
 void CommLayer::stage_request(TxRequest& req, uint64_t now) {
   auto& rec = recovery_[req.dst];
-  if (req.has_data()) stage_data_chunks(req, now, rec.retry);
+  if (req.has_data())
+    stage_data_chunks(req, now, [&rec](Outstanding&& e) { rec.retry.push_back(std::move(e)); });
   rec.retry.push_back(make_send_entry(req, now));
 }
 
@@ -559,12 +600,10 @@ void CommLayer::enqueue_tx(TxRequest& req) {
   pc.send.fetch_add(sizeof(MsgHeader) + req.payload.size(), std::memory_order_relaxed);
   if (req.has_data()) pc.write.fetch_add(req.data_len, std::memory_order_relaxed);
 
-  auto& rec = recovery_[peer];
-
   // Recovery in progress for this peer: everything staged but unposted lines
   // up in the retry queue first, then this request behind it, so the peer
   // still sees one FIFO stream.
-  if (qp->state() == rdma::QpState::kError || !rec.moved.empty() || !rec.retry.empty()) {
+  if (recovering(peer)) {
     stage_pending(peer);
     stage_request(req, now);
     return;
@@ -577,33 +616,14 @@ void CommLayer::enqueue_tx(TxRequest& req) {
     seal_batch(peer);
     if (chaos_) {
       // Under fault injection the WRITE must be replayable after its source
-      // cacheline is recycled, so stage the payload like a SEND's — chunked
-      // to the arena buffer size (eager fallbacks exceed one buffer).
-      const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-      for (uint32_t off = 0; off < req.data_len; off += max_chunk) {
-        const uint32_t n = std::min(max_chunk, req.data_len - off);
+      // cacheline is recycled, so stage the payload like a SEND's.
+      stage_data_chunks(req, now, [this, peer](Outstanding&& e) {
         PendingWr p;
-        p.e.buf = acquire_send_buffer();
-        p.e.len = n;
-        p.e.op = rdma::Opcode::kWrite;
-        p.e.remote_addr = req.data_remote_addr + off;
-        p.e.rkey = req.data_rkey;
-        p.e.deadline_ns = now + cfg_.comm_deadline_ns;
-        p.e.trace = req.hdr.trace;
-        p.e.msg_class = kMsgClassDataWrite;
-        std::memcpy(buf_ptr(p.e.buf), req.data_src + off, n);
-        p.wr.opcode = rdma::Opcode::kWrite;
-        p.wr.remote_addr = p.e.remote_addr;
-        p.wr.rkey = p.e.rkey;
-        p.wr.sge = {buf_ptr(p.e.buf), n, send_mr_.lkey};
+        p.wr = wr_for(e);
+        p.e = std::move(e);
         p.tracked = true;
         txb_[peer].wrs.push_back(std::move(p));
-      }
-      // Payload fully captured: the source cacheline may be recycled.
-      if (req.posted_flag) {
-        req.posted_flag->store(1, std::memory_order_release);
-        req.posted_flag->notify_all();
-      }
+      });
     } else {
       // Zero-copy: the source must stay live until the WR is actually posted,
       // so the release hook fires at flush time.
@@ -619,6 +639,9 @@ void CommLayer::enqueue_tx(TxRequest& req) {
   }
 
   append_frame(peer, req, now);
+  // Coalescing off: every request is its own SEND, posted on its own (the
+  // pre-coalescing wire behaviour).
+  if (!cfg_.coalesce_enabled) flush_peer(peer);
 }
 
 void CommLayer::flush_peer(uint32_t peer, bool seal_open) {
@@ -628,8 +651,7 @@ void CommLayer::flush_peer(uint32_t peer, bool seal_open) {
   const bool was_in_flush = in_flush_;
   in_flush_ = true;
   rdma::QueuePair* qp = qp_to_peer_[peer];
-  auto& rec = recovery_[peer];
-  if (qp->state() == rdma::QpState::kError || !rec.moved.empty() || !rec.retry.empty()) {
+  if (recovering(peer)) {
     stage_pending(peer);
     in_flush_ = was_in_flush;
     return;
@@ -660,12 +682,7 @@ void CommLayer::flush_peer(uint32_t peer, bool seal_open) {
   DARRAY_ASSERT_MSG(ok, "doorbell-batched post failed local validation");
   // The fabric executes transfers at post time, so zero-copy sources are
   // consumed: release them.
-  for (PendingWr& p : b.wrs) {
-    if (p.posted_flag) {
-      p.posted_flag->store(1, std::memory_order_release);
-      p.posted_flag->notify_all();
-    }
-  }
+  for (PendingWr& p : b.wrs) release_source(p.posted_flag);
   b.wrs.clear();
   in_flush_ = was_in_flush;
 }
@@ -695,27 +712,10 @@ void CommLayer::stage_pending(uint32_t peer) {
   for (PendingWr& p : b.wrs) {
     if (!p.tracked) {
       // Zero-copy WRITE whose source is still live: capture the payload into
-      // the arena so it can be replayed, then release the source. Chunked to
-      // the arena buffer size (a zero-copy payload can exceed one buffer).
-      const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-      const uint32_t total = p.wr.sge.length;
-      for (uint32_t off = 0; off < total; off += max_chunk) {
-        const uint32_t n = std::min(max_chunk, total - off);
-        Outstanding e;
-        e.buf = acquire_send_buffer();
-        e.len = n;
-        e.op = rdma::Opcode::kWrite;
-        e.remote_addr = p.wr.remote_addr + off;
-        e.rkey = p.wr.rkey;
-        e.deadline_ns = now + cfg_.comm_deadline_ns;
-        e.msg_class = kMsgClassDataWrite;
-        std::memcpy(buf_ptr(e.buf), p.wr.sge.addr + off, n);
-        rec.retry.push_back(std::move(e));
-      }
-      if (p.posted_flag) {
-        p.posted_flag->store(1, std::memory_order_release);
-        p.posted_flag->notify_all();
-      }
+      // the arena so it can be replayed, then release the source.
+      stage_chunks(p.wr.sge.addr, p.wr.sge.length, p.wr.remote_addr, p.wr.rkey, 0, now,
+                   [&rec](Outstanding&& e) { rec.retry.push_back(std::move(e)); });
+      release_source(p.posted_flag);
       continue;
     }
     rec.retry.push_back(std::move(p.e));
@@ -780,10 +780,7 @@ bool CommLayer::start_rndz(TxRequest& req, uint64_t now) {
   w.hdr.txn_id = d.lease_id;
   w.hdr.trace = trace;
   w.payload = std::move(wp);
-  if (cfg_.coalesce_enabled)
-    enqueue_tx(w);
-  else
-    post_one(w);
+  enqueue_tx(w);
   return true;
 }
 
@@ -801,14 +798,13 @@ void CommLayer::finish_lease(uint32_t id, bool completed) {
     L.gen = (L.gen + 1) & 0xffffu;
   }
   if (completed) {
-    rndz_completed_.fetch_add(1, std::memory_order_relaxed);
+    // The peer's READs are done: the pinned source may finally be recycled.
+    release_source(req.posted_flag);
     rndz_bytes_.fetch_add(req.data_len, std::memory_order_relaxed);
     peer_tx_[req.dst].rndz.fetch_add(req.data_len, std::memory_order_relaxed);
-    // The peer's READs are done: the pinned source may finally be recycled.
-    if (req.posted_flag) {
-      req.posted_flag->store(1, std::memory_order_release);
-      req.posted_flag->notify_all();
-    }
+    // Last, with release: whoever reads `completed` (acquire, rndz_stats)
+    // also sees the released source and the byte counts.
+    rndz_completed_.fetch_add(1, std::memory_order_release);
   } else {
     // NAK: the peer could not pull. Re-post through the Tx queue with the
     // rendezvous path disabled so the bytes move eagerly.
@@ -872,9 +868,8 @@ void CommLayer::start_pull(RndzJob&& job, uint64_t now) {
   rndz_pulls_.emplace(id, std::move(pull));
 
   auto& rec = recovery_[peer];
-  const bool recovering = qp->state() == rdma::QpState::kError ||
-                          !rec.moved.empty() || !rec.retry.empty();
-  if (recovering) stage_pending(peer);  // pulls line up behind staged work
+  const bool behind_recovery = recovering(peer);
+  if (behind_recovery) stage_pending(peer);  // pulls line up behind staged work
   const uint32_t mtu = cfg_.rendezvous_mtu_bytes;
   post_wrs_.clear();
   for (uint32_t off = 0; off < job.desc.len; off += mtu) {
@@ -891,7 +886,7 @@ void CommLayer::start_pull(RndzJob&& job, uint64_t now) {
     e.msg_class = kMsgClassRndzData;
     e.rndz_id = id;
     e.rndz_last = off + n >= job.desc.len;
-    if (recovering) {
+    if (behind_recovery) {
       rec.retry.push_back(std::move(e));
       continue;
     }
@@ -924,10 +919,7 @@ void CommLayer::send_ctl(uint16_t dst, MsgType type, uint32_t lease_id, uint64_t
   req.hdr.type = type;
   req.hdr.txn_id = lease_id;
   req.hdr.trace = trace;
-  if (cfg_.coalesce_enabled)
-    enqueue_tx(req);
-  else
-    post_one(req);
+  enqueue_tx(req);
 }
 
 bool CommLayer::process_rndz_actions(uint64_t now) {
@@ -957,175 +949,126 @@ bool CommLayer::process_rndz_actions(uint64_t now) {
   return true;
 }
 
-// --- legacy immediate-post path (cfg.coalesce_enabled == false) --------------
+// --- the Tx pass ----------------------------------------------------------------
 
-void CommLayer::post_one(TxRequest& req) {
-  rdma::QueuePair* qp = qp_to_peer_[req.dst];
-  DARRAY_ASSERT(qp != nullptr);
-  const uint64_t now = now_ns();
+bool CommLayer::recovering(uint32_t peer) const {
+  const auto& rec = recovery_[peer];
+  return qp_to_peer_[peer]->state() == rdma::QpState::kError || !rec.moved.empty() ||
+         !rec.retry.empty();
+}
 
-  // Large-message engine: at or above the threshold, negotiate a rendezvous
-  // (zero-copy one-sided pull by the peer) instead of moving bytes eagerly —
-  // unless this request is already an eager fallback. Lease-table exhaustion
-  // falls through to the eager path below.
-  if (req.has_data() && !req.force_eager && cfg_.rendezvous_enabled &&
-      req.data_len >= cfg_.rendezvous_threshold_bytes) {
-    if (start_rndz(req, now)) return;
-  }
+size_t CommLayer::arena_bound(const TxRequest& req) const {
+  // One buffer for the frame (a batch or a lone oversize frame) plus the data
+  // WRITE chunked to arena buffers: chaos staging takes that many, and so
+  // does capturing a zero-copy WRITE when its peer enters recovery.
+  const size_t data = req.has_data() ? (req.data_len + max_msg_bytes_ - 1) / max_msg_bytes_ : 0;
+  return 1 + data;
+}
 
-  auto& pc = peer_tx_[req.dst];
-  pc.send.fetch_add(sizeof(MsgHeader) + req.payload.size(), std::memory_order_relaxed);
-  if (req.has_data()) pc.write.fetch_add(req.data_len, std::memory_order_relaxed);
-
-  auto& rec = recovery_[req.dst];
-
-  // Recovery in progress for this peer: new requests queue up behind the
-  // replay so the peer still sees one FIFO stream.
-  if (qp->state() == rdma::QpState::kError || !rec.moved.empty() || !rec.retry.empty()) {
-    stage_request(req, now);
-    return;
-  }
-
-  // 1. Optional one-sided data WRITE; FIFO per QP orders it before the SEND.
-  if (req.has_data()) {
-    if (chaos_) {
-      // Under fault injection the WRITE must be replayable after its source
-      // cacheline is recycled, so stage the payload like a SEND's — chunked
-      // to the arena buffer size (eager fallbacks exceed one buffer). A
-      // chunk that draws a fault flushes the rest behind it in order.
-      const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-      for (uint32_t off = 0; off < req.data_len; off += max_chunk) {
-        const uint32_t n = std::min(max_chunk, req.data_len - off);
-        Outstanding e;
-        e.buf = acquire_send_buffer();
-        e.len = n;
-        e.op = rdma::Opcode::kWrite;
-        e.remote_addr = req.data_remote_addr + off;
-        e.rkey = req.data_rkey;
-        e.attempts = 1;
-        e.deadline_ns = now + cfg_.comm_deadline_ns;
-        e.wr_id = next_wr_id_++;
-        e.trace = req.hdr.trace;
-        e.msg_class = kMsgClassDataWrite;
-        std::memcpy(buf_ptr(e.buf), req.data_src + off, n);
-        post_entry(req.dst, std::move(e));
+bool CommLayer::tx_pass(bool inline_caller) {
+  bool progressed = false;
+  // An inline caller must never park, and acquire_send_buffer parks when the
+  // arena is empty. So it takes a request only while the arena still covers
+  // the worst case of every request taken in this pass (buffers come back
+  // only through reclaim, which runs after the drain). Whatever it leaves
+  // queued goes to the Tx thread, in order, as does any peer in recovery.
+  size_t budget = inline_caller ? send_free_.size() : 0;
+  bool handoff = false;
+  TxRequest req;
+  uint32_t drained = 0;
+  for (;;) {
+    if (inline_caller) {
+      const TxRequest* next = tx_queue_.front();
+      if (next == nullptr) break;
+      const size_t need = arena_bound(*next);
+      if (need > budget || recovering(next->dst)) {
+        handoff = true;
+        break;
       }
-      // Payload fully captured (in the arena, even if a chunk just faulted):
-      // the source cacheline may be recycled.
-      if (req.posted_flag) {
-        req.posted_flag->store(1, std::memory_order_release);
-        req.posted_flag->notify_all();
-      }
-      if (qp->state() == rdma::QpState::kError) {
-        // A WRITE chunk drew a fault; the SEND must line up behind the
-        // flushed chunks (already tracked — do not re-stage the data).
-        rec.retry.push_back(make_send_entry(req, now));
-        return;
-      }
-    } else {
-      rdma::SendWr wr;
-      wr.opcode = rdma::Opcode::kWrite;
-      wr.sge = {req.data_src, req.data_len, req.data_lkey};
-      wr.remote_addr = req.data_remote_addr;
-      wr.rkey = req.data_rkey;
-      wr.signaled = false;  // source buffer release is handled via posted_flag
-      wr.wr_id = next_wr_id_++;
-      const bool ok = qp->post_send(wr);
-      DARRAY_ASSERT_MSG(ok, "data WRITE failed local validation");
-      if (req.posted_flag) {
-        req.posted_flag->store(1, std::memory_order_release);
-        req.posted_flag->notify_all();
-      }
+      budget -= need;
     }
+    if (!tx_queue_.pop(req)) break;
+    enqueue_tx(req);
+    progressed = true;
+    // Long drains must not hold frames past the coalescing deadline.
+    if ((++drained & 63u) == 0) flush_due(now_ns());
   }
-
-  // 2. The two-sided protocol message.
-  Outstanding e;
-  e.buf = stage_send_msg(req);
-  e.len = static_cast<uint32_t>(sizeof(MsgHeader) + req.payload.size());
-  e.op = rdma::Opcode::kSend;
-  e.attempts = 1;
-  e.deadline_ns = now + cfg_.comm_deadline_ns;
-  e.wr_id = next_wr_id_++;
-  e.trace = req.hdr.trace;
-  e.msg_class = static_cast<uint8_t>(req.hdr.type);
-
-  rdma::SendWr wr;
-  wr.opcode = rdma::Opcode::kSend;
-  wr.sge = {buf_ptr(e.buf), e.len, send_mr_.lkey};
-  wr.wr_id = e.wr_id;
-  // Selective signaling: request a completion once per interval per QP so the
-  // signaled CQE retires the whole unsignaled run behind it. (Errors are
-  // always signaled by the fabric, so recovery still sees every failure.)
-  uint32_t& run = unsignaled_run_[req.dst];
-  wr.signaled = ++run >= cfg_.selective_signal_interval;
-  if (wr.signaled) run = 0;
-  obs::trace(obs::Ev::kWrPost, e.trace, static_cast<uint8_t>(e.op),
-             static_cast<uint16_t>(node_id_), req.dst, e.wr_id);
-  outstanding_[req.dst].push_back(std::move(e));
-  const bool ok = qp->post_send(wr);
-  DARRAY_ASSERT_MSG(ok, "protocol SEND failed local validation");
+  // Rendezvous pulls handed over by the Rx thread (a pull is a
+  // doorbell-batched run of READ WRs); the Tx thread's job.
+  RndzJob job;
+  while (!inline_caller && rndz_jobs_.pop(job)) {
+    start_pull(std::move(job), now_ns());
+    progressed = true;
+  }
+  // Drain over: ring each peer's doorbell once with everything staged.
+  flush_all();
+  reclaim_send_buffers();
+  if (inline_caller) {
+    // Backoff-timed replays and rendezvous actions belong to the Tx thread.
+    bool any_recovering = false;
+    for (uint32_t peer = 0; peer < num_nodes_; ++peer)
+      any_recovering |= peer != node_id_ && recovering(peer);
+    inline_passes_.fetch_add(1, std::memory_order_relaxed);
+    if (handoff || any_recovering || !rndz_done_.empty() || !rndz_nak_.empty()) {
+      handoffs_.fetch_add(1, std::memory_order_relaxed);
+      tx_bell_.ring();
+    }
+    return progressed;
+  }
+  pump_retries(now_ns());
+  // Completed/abandoned pulls surface here, at top level only (never nested
+  // inside a flush): dispatch + FIN, or NAK. The control sends they stage
+  // go out in a final flush pass.
+  if (process_rndz_actions(now_ns())) {
+    progressed = true;
+    flush_all();
+    reclaim_send_buffers();
+  }
+  return progressed;
 }
 
 void CommLayer::tx_main() {
   char tname[16];
   std::snprintf(tname, sizeof tname, "tx.%u", node_id_);
   obs::register_current_thread(tname);
-  const bool coalesce = cfg_.coalesce_enabled;
+  t_comm_thread = true;
   tx_duty_.on_start();
   for (;;) {
     const uint32_t snap = tx_bell_.snapshot();
     bool progressed = false;
-    TxRequest req;
-    uint32_t drained = 0;
-    while (tx_queue_.pop(req)) {
-      if (coalesce)
-        enqueue_tx(req);
-      else
-        post_one(req);
-      progressed = true;
-      // Long drains must not hold frames past the coalescing deadline.
-      if (coalesce && (++drained & 63u) == 0) flush_due(now_ns());
-    }
-    // Rendezvous pulls handed over by the Rx thread (only the Tx thread may
-    // post, and a pull is a doorbell-batched run of READ WRs).
-    RndzJob job;
-    while (rndz_jobs_.pop(job)) {
-      start_pull(std::move(job), now_ns());
-      progressed = true;
-    }
-    // Drain pass over: ring each peer's doorbell once with everything staged.
-    if (coalesce) flush_all();
-    reclaim_send_buffers();
-    pump_retries(now_ns());
-    // Completed/abandoned pulls surface here, at top level only (never nested
-    // inside a flush): dispatch + FIN, or NAK. The control sends they stage
-    // go out in a final flush pass.
-    if (process_rndz_actions(now_ns())) {
-      progressed = true;
-      if (coalesce) flush_all();
-      reclaim_send_buffers();
+    uint64_t due = 0;
+    {
+      std::unique_lock<std::mutex> lk(tx_mu_, std::try_to_lock);
+      if (!lk.owns_lock()) {
+        // A posting thread is running the pass: waiting for it is idle time.
+        const uint64_t t0 = tx_duty_.park_begin();
+        lk.lock();
+        tx_duty_.park_end(t0);
+      }
+      progressed = tx_pass(/*inline_caller=*/false);
+      if (!progressed) {
+        // Completions may be held back by the latency model, and retries
+        // wait out their backoff window; neither rings the bell again, so
+        // bound the park by whichever is due first.
+        due = send_cq_.next_due_in();
+        const uint64_t rdue = retry_due_in(now_ns());
+        if (rdue < due) due = rdue;
+      }
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    if (!progressed) {
-      // Completions may be held back by the latency model, and retries wait
-      // out their backoff window; neither rings the bell again, so bound the
-      // park by whichever is due first.
-      uint64_t due = send_cq_.next_due_in();
-      const uint64_t rdue = retry_due_in(now_ns());
-      if (rdue < due) due = rdue;
-      if (due == ~0ull) {
+    if (progressed) continue;
+    // Parked without the Tx lock, so posting threads can run passes.
+    if (due == ~0ull) {
+      const uint64_t t0 = tx_duty_.park_begin();
+      tx_bell_.wait_change(snap);
+      tx_duty_.park_end(t0);
+    } else if (due > 0) {
+      if (due < 20'000) {
+        cpu_relax();
+      } else {
         const uint64_t t0 = tx_duty_.park_begin();
-        tx_bell_.wait_change(snap);
+        std::this_thread::sleep_for(std::chrono::nanoseconds(due));
         tx_duty_.park_end(t0);
-      } else if (due > 0) {
-        if (due < 20'000) {
-          cpu_relax();
-        } else {
-          const uint64_t t0 = tx_duty_.park_begin();
-          std::this_thread::sleep_for(std::chrono::nanoseconds(due));
-          tx_duty_.park_end(t0);
-        }
       }
     }
   }
@@ -1136,6 +1079,7 @@ void CommLayer::rx_main() {
   char tname[16];
   std::snprintf(tname, sizeof tname, "rx.%u", node_id_);
   obs::register_current_thread(tname);
+  t_comm_thread = true;
   rdma::WorkCompletion wcs[32];
   rx_duty_.on_start();
   for (;;) {

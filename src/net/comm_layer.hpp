@@ -1,17 +1,26 @@
-// The paper's communication layer (Fig. 2, §4.5): per node, a Tx thread that
-// drains the RDMA-request queue and posts work to the NIC with selective
+// The paper's communication layer (Fig. 2, §4.5): per node, an RDMA-request
+// queue drained by a Tx pass that posts work to the NIC with selective
 // signaling, and an Rx thread that polls the completion queue and delivers
 // parsed RPC messages to the runtime. Dedicated networking threads mean the
 // QP count is nodes² × 1, independent of the number of application/runtime
 // threads — the paper's n²·c (c = networking threads) instead of n²·t.
 //
+// Who runs the Tx pass (docs/perf.md): post() enqueues, then runs the pass
+// itself when it can take the Tx lock without waiting, so an idle link costs
+// no thread hop. Otherwise it rings the Tx thread, which runs the pass under
+// the same lock. An inline pass never parks: it leaves to the Tx thread what
+// could block (an exhausted send arena), backoff-timed recovery and
+// rendezvous pulls/actions. All Tx-private state below is touched only under
+// the Tx lock.
+//
 // Small-message engine (docs/perf.md): with cfg.coalesce_enabled the Tx
-// thread packs every protocol message it finds queued for the same peer into
+// pass packs every protocol message it finds queued for the same peer into
 // one wire SEND (kBatch framing, bytes/frames/deadline cutoffs) and defers
-// posting so each drain pass rings each peer QP's doorbell once with a span
-// of work requests. The Rx thread unpacks frames in place and dispatches
-// each. Payloads ride in pooled PayloadBufs, so the steady-state Tx/Rx path
-// performs no heap allocation.
+// posting so each pass rings each peer QP's doorbell once with a span of
+// work requests; with it off, every request is its own SEND, posted alone.
+// The Rx thread unpacks frames in place and dispatches each. Payloads ride in
+// pooled PayloadBufs, so the steady-state Tx/Rx path performs no heap
+// allocation.
 //
 // Large-message engine (docs/perf.md): payload-bearing requests at or above
 // cfg.rendezvous_threshold_bytes switch from the eager path to a rendezvous:
@@ -58,7 +67,8 @@
 
 namespace darray::net {
 
-// An unrecoverable communication failure, delivered on the Tx thread.
+// An unrecoverable communication failure, delivered on the thread running
+// the Tx pass.
 struct CommError {
   uint32_t peer = 0;
   rdma::Opcode opcode = rdma::Opcode::kSend;
@@ -74,7 +84,7 @@ class CommLayer {
   // thread normally, the Tx thread for notifications embedded in a completed
   // rendezvous pull; it must only route (push to a runtime queue), never block.
   using DispatchFn = std::function<void(RpcMessage&&)>;
-  // Invoked on the Tx thread when a request is abandoned (retry budget or
+  // Invoked from the Tx pass when a request is abandoned (retry budget or
   // deadline exhausted, or an untracked WR failed). The handler must not
   // block; with no handler installed the comm layer fail-stops.
   using ErrorFn = std::function<void(const CommError&)>;
@@ -99,7 +109,8 @@ class CommLayer {
   void start();
   void stop();
 
-  // Any runtime thread: enqueue an outbound request for the Tx thread.
+  // Any thread: enqueue an outbound request, and post it right away when no
+  // other thread is running the Tx pass (see the file comment).
   void post(TxRequest req);
 
   size_t max_msg_bytes() const { return max_msg_bytes_; }
@@ -122,9 +133,20 @@ class CommLayer {
   };
   RndzStats rndz_stats() const {
     return {rndz_started_.load(std::memory_order_relaxed),
-            rndz_completed_.load(std::memory_order_relaxed),
+            rndz_completed_.load(std::memory_order_acquire),
             rndz_fallbacks_.load(std::memory_order_relaxed),
             rndz_bytes_.load(std::memory_order_relaxed)};
+  }
+
+  // Who ran the Tx pass (any thread may sample): passes run inline by a
+  // posting thread, and those that left work to the Tx thread.
+  struct TxPassStats {
+    uint64_t inline_passes = 0;
+    uint64_t handoffs = 0;
+  };
+  TxPassStats tx_pass_stats() const {
+    return {inline_passes_.load(std::memory_order_relaxed),
+            handoffs_.load(std::memory_order_relaxed)};
   }
 
   // Per-peer outbound byte accounting (protocol bytes: header+payload for
@@ -268,10 +290,16 @@ class CommLayer {
   // sampled stacks name them (docs/observability.md v5).
   DARRAY_PROFILE_ANCHOR void tx_main();
   DARRAY_PROFILE_ANCHOR void rx_main();
-  // Legacy immediate-post path (coalescing off; byte- and WR-identical to the
-  // pre-coalescing engine).
-  void post_one(TxRequest& req);
-  // Coalescing path: stage the request into the per-peer batch state.
+  // One Tx pass: stage everything queued, flush, retire completions, and (Tx
+  // thread only) drive recovery and rendezvous. Caller holds tx_mu_. Returns
+  // whether it made progress. An inline pass (run by a posting thread) never
+  // parks and rings the Tx thread for whatever it leaves.
+  DARRAY_PROFILE_ANCHOR bool tx_pass(bool inline_caller);
+  // Peer QP in ERROR, or failed/staged work waiting for its replay.
+  bool recovering(uint32_t peer) const;
+  // Most send-arena buffers staging and posting `req` can take.
+  size_t arena_bound(const TxRequest& req) const;
+  // Stage the request into the per-peer batch state.
   void enqueue_tx(TxRequest& req);
   void append_frame(uint32_t peer, TxRequest& req, uint64_t now);
   void seal_batch(uint32_t peer);
@@ -280,11 +308,18 @@ class CommLayer {
   void flush_due(uint64_t now);
   void stage_pending(uint32_t peer);
   void stage_request(TxRequest& req, uint64_t now);
-  // Stage the eager data WRITE of `req` into arena-backed entries (chunked to
-  // max_msg_bytes_ so payloads larger than one arena buffer survive chaos
-  // staging) and fire the posted_flag. Appends the entries to `out`.
-  void stage_data_chunks(TxRequest& req, uint64_t now, std::deque<Outstanding>& out);
+  // Copy a WRITE payload into arena-backed entries, chunked to
+  // max_msg_bytes_ so payloads larger than one buffer survive staging; hands
+  // each entry to emit(Outstanding&&).
+  template <typename Emit>
+  void stage_chunks(const std::byte* src, uint32_t len, uint64_t remote_addr, uint32_t rkey,
+                    uint64_t trace, uint64_t now, Emit&& emit);
+  // stage_chunks for the eager data WRITE of `req`, then fire its posted_flag.
+  template <typename Emit>
+  void stage_data_chunks(TxRequest& req, uint64_t now, Emit&& emit);
   Outstanding make_send_entry(TxRequest& req, uint64_t now);
+  // The signaled work request that posts (or replays) a tracked entry.
+  rdma::SendWr wr_for(const Outstanding& e);
   void post_entry(uint32_t peer, Outstanding e);
   // Rendezvous: sender-side negotiation start. Returns false (leaving `req`
   // intact) when no lease slot is free — the caller falls back to eager.
@@ -308,7 +343,7 @@ class CommLayer {
   void fail(const CommError& err);
   uint64_t retry_due_in(uint64_t now) const;
   uint64_t backoff_ns(uint32_t attempts) const;
-  uint32_t acquire_send_buffer();  // parks on the Tx doorbell when exhausted
+  uint32_t acquire_send_buffer();  // Tx thread: parks on the Tx doorbell when exhausted
   uint32_t stage_send_msg(TxRequest& req);  // copy header+payload into a buffer
   void release_buf(uint32_t buf) {
     if (buf != kNoBuf) send_free_.push_back(buf);
@@ -329,7 +364,16 @@ class CommLayer {
   Doorbell rx_bell_;
   rdma::CompletionQueue send_cq_{&tx_bell_};
   rdma::CompletionQueue recv_cq_{&rx_bell_};
-  MpscQueue<TxRequest> tx_queue_{&tx_bell_};
+  // Pushed by post(), which rings tx_bell_ itself only when it does not run
+  // the pass inline.
+  MpscQueue<TxRequest> tx_queue_;
+  // The Tx lock: held for every Tx pass, by the Tx thread or an inline
+  // poster; it guards tx_queue_'s consumer side, send_cq_ polling and every
+  // Tx-private field below. The Tx thread also holds it across an
+  // arena-exhaustion wait inside its pass, but never while parked idle.
+  std::mutex tx_mu_;
+  std::atomic<bool> inline_ok_{false};  // between start() and stop()
+  std::atomic<uint64_t> inline_passes_{0}, handoffs_{0};
 
   std::vector<rdma::QueuePair*> qp_to_peer_;        // indexed by peer node id
   std::vector<rdma::QueuePair*> qp_by_num_;         // sparse, indexed by qp_num

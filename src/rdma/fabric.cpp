@@ -267,6 +267,9 @@ bool QueuePair::post_send(const SendWr& wr) {
             if (peer_->posted_recvs_.pop(recv)) {
               DARRAY_ASSERT_MSG(recv.length >= wr.sge.length, "recv buffer too small");
               std::memcpy(recv.addr, wr.sge.addr, wr.sge.length);
+              // Counted before the receiver can see the message, so a reader
+              // that waits for delivery also sees the count.
+              fabric_->count(Opcode::kSend, wr.sge.length);
               WorkCompletion rwc;
               rwc.wr_id = recv.wr_id;
               rwc.opcode = Opcode::kRecv;
@@ -279,10 +282,7 @@ bool QueuePair::post_send(const SendWr& wr) {
               delivered = true;
             }
           }
-          if (delivered) {
-            fabric_->count(Opcode::kSend, wr.sge.length);
-            break;
-          }
+          if (delivered) break;
           // No fast-exit while the peer QP sits in ERROR: the peer's Tx
           // thread resets it within its backoff cap and its Rx re-arms the
           // ring right after, both far inside the budget. Exiting early

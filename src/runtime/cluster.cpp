@@ -251,6 +251,18 @@ void Cluster::register_default_stats_sources() {
     s.add("net.rndz.fallbacks", total.fallbacks);
     s.add("net.rndz.bytes", total.bytes);
   });
+  // Tx passes run inline by posting threads, and how many of them left work
+  // (arena, recovery, rendezvous) to the Tx thread (docs/perf.md).
+  stats_registry_.add_source([this](obs::StatsSnapshot& s) {
+    net::CommLayer::TxPassStats total;
+    for (const auto& n : nodes_) {
+      const net::CommLayer::TxPassStats t = n->comm().tx_pass_stats();
+      total.inline_passes += t.inline_passes;
+      total.handoffs += t.handoffs;
+    }
+    s.add("net.tx.inline_passes", total.inline_passes);
+    s.add("net.tx.handoffs", total.handoffs);
+  });
   // Per-node plane for live dashboards (darray-top): traffic split by node so
   // a hot or faulted node stands out from the cluster-wide sums below.
   // node.<i>.ops counts traced API ops recorded on node i (zero with tracing

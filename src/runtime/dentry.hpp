@@ -39,18 +39,19 @@ struct alignas(64) Dentry {
       if (delay.load(std::memory_order_acquire)) {
         spin_wait_until(delay, [](bool v) { return !v; });
       }
-      refcnt.fetch_add(1, std::memory_order_acq_rel);
+      refcnt.fetch_add(1, std::memory_order_seq_cst);
       // The runtime may have raised delay between our check and the
       // increment; back out so it is never forced to wait on late arrivals.
-      if (!delay.load(std::memory_order_acquire)) return;
+      // seq_cst pairs with begin_drain/drained (see there).
+      if (!delay.load(std::memory_order_seq_cst)) return;
       release_ref();
     }
   }
 
   // Fig. 4 line 14. Wakes the runtime thread iff it is draining this chunk.
   void release_ref() {
-    if (refcnt.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        delay.load(std::memory_order_relaxed)) {
+    if (refcnt.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+        delay.load(std::memory_order_seq_cst)) {
       refcnt.notify_all();
       if (owner_bell) owner_bell->ring();
     }
@@ -61,19 +62,21 @@ struct alignas(64) Dentry {
   // Fig. 5 ①+②: block new accessors and install the target state. The caller
   // completes the drain once refcnt reaches zero (asynchronously — see
   // Engine::start_drain) and then calls finish_drain().
+  //
+  // begin_drain's delay store and drained()'s refcnt load pair with
+  // release_ref's refcnt RMW and delay load (a store→load, Dekker shape):
+  // all four are seq_cst, so either the runtime sees the reference gone or
+  // the last releaser sees delay raised and rings the owner.
   void begin_drain(DentryState target) {
-    delay.store(true, std::memory_order_release);
+    delay.store(true, std::memory_order_seq_cst);
     state.store(target, std::memory_order_release);
     count_transition(target);
   }
 
-  bool drained() const { return refcnt.load(std::memory_order_acquire) == 0; }
+  bool drained() const { return refcnt.load(std::memory_order_seq_cst) == 0; }
 
   // Fig. 5 ④.
-  void finish_drain() {
-    delay.store(false, std::memory_order_release);
-    delay.notify_all();
-  }
+  void finish_drain() { publish_and_notify(delay, false); }
 
   // Fig. 6: permission promotion needs no synchronisation with user threads.
   void promote(DentryState target) {

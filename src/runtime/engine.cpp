@@ -742,11 +742,9 @@ void Engine::try_issue_remote(NodeArrayState& as, ChunkId c) {
     start_drain(d, pending, [issue, kind, op, trace] { issue(kind, op, trace); });
   }
 
-  // Demand reads (including read pins — the sequential-scan hint) trigger
-  // prefetch; prefetch-initiated fills must not cascade.
-  if (head->kind == LocalRequest::Kind::kRead ||
-      (head->kind == LocalRequest::Kind::kPin && head->pin_mode == PinMode::kRead))
-    issue_prefetches(as, c);
+  // Demand reads (and read pins) that continue their thread's sequential
+  // miss stream read ahead; random misses and prefetch-initiated fills don't.
+  if (head->stream) issue_prefetches(as, c);
 }
 
 void Engine::issue_prefetches(const NodeArrayState& as, ChunkId after) {

@@ -85,6 +85,9 @@ struct LocalRequest {
   Kind kind = Kind::kRead;
   PinMode pin_mode = PinMode::kRead;
   uint8_t lock_write = 0;  // 1 = writer lock
+  // Demand read (or read pin) that continues its thread's forward miss
+  // stream: the runtime reads ahead after it (§4.2).
+  bool stream = false;
   ArrayId array = 0;
   uint16_t op_id = kNoOp;
   ChunkId chunk = 0;

@@ -1,6 +1,10 @@
 // Distributed reader/writer locks (Fig. 3 concurrency control).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "core/darray.hpp"
@@ -117,6 +121,48 @@ TEST(DArrayLock, ReadersDontExcludeEachOtherAcrossNodes) {
     a.unlock(0);
   });
   EXPECT_EQ(max_seen.load(), 2) << "both readers should have held concurrently";
+}
+
+// Lost-wakeup regression: micro_fastpath's BM_DArrayWlockUnlock op sequence
+// (a synchronous runtime round trip per call on a one-node cluster with the
+// telemetry sampler running) on unpinned threads. A release-store-then-notify
+// signal could skip the futex wake and park the app thread for good; a
+// watchdog turns such a hang into a failure instead of a stuck test binary.
+TEST(WakeupStress, WlockUnlockLoopNeverParksForGood) {
+  rt::ClusterConfig cfg;
+  cfg.num_nodes = 1;
+  cfg.telemetry_enabled = true;
+  cfg.telemetry_sample_ns = 1'000'000;
+  rt::Cluster cluster(cfg);
+  constexpr uint64_t kMask = (1 << 16) - 1;
+  auto a = DArray<uint64_t>::create(cluster, kMask + 1);
+  constexpr uint64_t kIters = 300'000;
+  std::atomic<uint64_t> done{0};
+  std::thread t([&] {
+    bind_thread(cluster, 0);
+    for (uint64_t i = 0; i < kIters; ++i) {
+      a.wlock(i & kMask);
+      a.unlock(i & kMask);
+      done.store(i + 1, std::memory_order_relaxed);
+    }
+  });
+  uint64_t last = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (done.load(std::memory_order_relaxed) < kIters) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const uint64_t now_done = done.load(std::memory_order_relaxed);
+    if (now_done != last) {
+      last = now_done;
+      last_progress = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - last_progress > std::chrono::seconds(30)) {
+      std::fprintf(stderr, "WlockUnlock loop made no progress for 30 s at iteration %llu\n",
+                   static_cast<unsigned long long>(now_done));
+      std::fflush(stderr);
+      std::_Exit(1);  // the parked thread cannot be joined
+    }
+  }
+  t.join();
+  EXPECT_EQ(done.load(), kIters);
 }
 
 }  // namespace

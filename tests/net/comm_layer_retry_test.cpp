@@ -3,10 +3,12 @@
 // through the error handler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "chaos/fault_injector.hpp"
@@ -119,6 +121,96 @@ TEST(CommLayerRetry, FaultyLinkStillDeliversEverythingInOrder) {
   EXPECT_GT(s.retries, 0u);
   EXPECT_EQ(h.c0->dropped_requests(), 0u);
   EXPECT_EQ(h.c1->dropped_requests(), 0u);
+}
+
+// Two threads post to one peer over a faulty link: posts run the Tx pass
+// inline while the link is healthy and hand off to the Tx thread while the
+// peer recovers. Each poster's messages must arrive once, in its own order.
+TEST(CommLayerRetry, InlineAndQueuedPostsKeepPerPeerFifo) {
+  ChaosHarness h(flaky_plan(21));
+  h.start();
+  constexpr uint64_t kEach = 600;
+  const auto post = [&h](uint64_t poster, uint64_t seq) {
+    TxRequest t;
+    t.dst = 1;
+    t.hdr.type = MsgType::kInvAck;
+    t.hdr.chunk = poster << 32 | seq;
+    h.c0->post(std::move(t));
+  };
+  std::thread other([&] {
+    for (uint64_t i = 0; i < kEach; ++i) post(1, i);
+  });
+  for (uint64_t i = 0; i < kEach; ++i) post(0, i);
+  other.join();
+  h.wait_for(static_cast<int>(2 * kEach));
+  std::scoped_lock lk(h.mu);
+  ASSERT_EQ(h.inbox1.size(), static_cast<size_t>(2 * kEach));
+  uint64_t next[2] = {0, 0};
+  for (const RpcMessage& m : h.inbox1) {
+    const uint64_t poster = m.hdr.chunk >> 32;
+    ASSERT_LT(poster, 2u);
+    ASSERT_EQ(m.hdr.chunk & 0xffffffffu, next[poster]) << "poster " << poster;
+    ++next[poster];
+  }
+  EXPECT_GT(h.fabric.stats().retries, 0u);
+  EXPECT_EQ(h.c0->dropped_requests(), 0u);
+}
+
+// An inline post that the send arena cannot cover returns at once instead of
+// parking for buffers: every staged WRITE holds its buffer until a completion
+// delayed by 200 ms. The Tx thread stages and delivers what the posts left.
+TEST(CommLayerRetry, InlinePostOnExhaustedArenaHandsOffToTxThread) {
+  chaos::FaultPlan slow;
+  slow.p_delay = 1.0;
+  slow.delay_min_ns = 100'000'000;
+  slow.delay_max_ns = 100'000'000;
+  ClusterConfig cfg;
+  cfg.rendezvous_enabled = false;       // bulk data stays eager (staged)
+  cfg.selective_signal_interval = 1;    // smallest send arena
+  ChaosHarness h(slow, cfg);
+  h.start();
+  const uint32_t buf = static_cast<uint32_t>(h.c0->max_msg_bytes());
+  // Request 0 needs more buffers than the whole arena; requests 1.. need 16
+  // each, so the arena covers a few of them and then every buffer waits.
+  constexpr int kReqs = 21;
+  const auto len_of = [buf](int r) { return r == 0 ? 256 * buf : 16 * buf; };
+  std::vector<size_t> off(kReqs + 1, 0);
+  for (int r = 0; r < kReqs; ++r) off[r + 1] = off[r] + len_of(r);
+  std::vector<std::byte> src(off[kReqs]), dst(off[kReqs]);
+  for (size_t i = 0; i < src.size(); ++i) src[i] = static_cast<std::byte>(i * 7 + i / buf);
+  rdma::MemoryRegion ms = h.d0->reg_mr(src.data(), src.size());
+  rdma::MemoryRegion md = h.d1->reg_mr(dst.data(), dst.size());
+  std::vector<std::atomic<uint32_t>> posted(kReqs);
+  uint64_t slowest_post_ns = 0;
+  for (int r = 0; r < kReqs; ++r) {
+    TxRequest t;
+    t.dst = 1;
+    t.hdr.type = MsgType::kReadData;
+    t.hdr.chunk = static_cast<uint64_t>(r);
+    t.data_src = src.data() + off[r];
+    t.data_len = len_of(r);
+    t.data_lkey = ms.lkey;
+    t.data_remote_addr = reinterpret_cast<uint64_t>(dst.data() + off[r]);
+    t.data_rkey = md.rkey;
+    t.posted_flag = &posted[static_cast<size_t>(r)];
+    const uint64_t t0 = now_ns();
+    h.c0->post(std::move(t));
+    slowest_post_ns = std::max(slowest_post_ns, now_ns() - t0);
+    if (r == 0) {
+      // Whether request 0's post ran the pass or found it taken, an inline
+      // pass that saw it must have left it to the Tx thread.
+      const CommLayer::TxPassStats s = h.c0->tx_pass_stats();
+      EXPECT_EQ(s.handoffs, s.inline_passes);
+    }
+  }
+  EXPECT_LT(slowest_post_ns, 100'000'000u) << "a post waited for arena buffers";
+  h.wait_for(kReqs);
+  for (auto& p : posted) EXPECT_EQ(p.load(), 1u);
+  std::scoped_lock lk(h.mu);
+  for (int r = 0; r < kReqs; ++r)
+    EXPECT_EQ(h.inbox1[static_cast<size_t>(r)].hdr.chunk, static_cast<uint64_t>(r));
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), dst.size()), 0);
+  EXPECT_EQ(h.c0->dropped_requests(), 0u);
 }
 
 TEST(CommLayerRetry, StagedWriteSurvivesSourceRecycling) {

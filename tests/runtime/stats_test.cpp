@@ -2,7 +2,9 @@
 // design through the telemetry rather than timing.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/darray.hpp"
 #include "tests/test_util.hpp"
@@ -60,10 +62,51 @@ TEST(RuntimeStats, PrefetchIssuedOnSequentialMisses) {
   auto arr = darray::DArray<uint64_t>::create(cluster, 64 * 16);
   std::thread t([&] {
     darray::bind_thread(cluster, 1);
-    for (uint64_t i = arr.local_begin(0); i < arr.local_end(0); ++i) (void)arr.get(i);
+    for (uint64_t i = arr.local_begin(0); i < arr.local_end(0); ++i) {
+      // Give read-ahead fills time to land before the sweep reaches them.
+      if (i % 64 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      (void)arr.get(i);
+    }
   });
   t.join();
-  EXPECT_GT(cluster.runtime_stats().prefetches_issued, 0u);
+  const RuntimeStats s = cluster.runtime_stats();
+  const uint64_t chunks = (arr.local_end(0) - arr.local_begin(0)) / 64;
+  EXPECT_GT(s.prefetches_issued, 0u);
+  EXPECT_LT(s.local_read_misses, chunks) << "read-ahead turned demand misses into hits";
+}
+
+// Random remote reads never continue a forward miss stream, so the engine
+// reads nothing ahead for them: every fill is one a read asked for.
+TEST(RuntimeStats, RandomRemoteReadsIssueNoPrefetch) {
+  rt::ClusterConfig cfg = small_cfg(2, 64, 256);
+  cfg.prefetch_chunks = 2;
+  rt::Cluster cluster(cfg);
+  auto arr = darray::DArray<uint64_t>::create(cluster, 64 * 512);
+  const uint64_t remote_chunks = (arr.local_end(0) - arr.local_begin(0)) / 64;
+  // Distinct chunks homed on node 0, in a seeded random order with no chunk
+  // 1..1+prefetch_chunks ahead of the one read before it.
+  std::vector<uint64_t> order;
+  std::vector<bool> used(remote_chunks, false);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  while (order.size() < 200) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const uint64_t c = x % remote_chunks;
+    if (used[c]) continue;
+    if (!order.empty() && c > order.back() && c - order.back() <= 1 + cfg.prefetch_chunks)
+      continue;
+    used[c] = true;
+    order.push_back(c);
+  }
+  std::thread t([&] {
+    darray::bind_thread(cluster, 1);
+    for (const uint64_t c : order) (void)arr.get(arr.local_begin(0) + c * 64 + 5);
+  });
+  t.join();
+  const RuntimeStats s = cluster.runtime_stats();
+  EXPECT_EQ(s.prefetches_issued, 0u);
+  EXPECT_EQ(s.local_read_misses, order.size());
 }
 
 TEST(RuntimeStats, PrefetchDisabledIssuesNone) {
