@@ -120,6 +120,48 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
 
 inline uint32_t bench_reps() { return static_cast<uint32_t>(env_u64("DARRAY_BENCH_REPS", 3)); }
 
+// The host a report was measured on, so a comparison against a baseline can
+// tell a slower runner from slower code: logical CPUs, the CPU model string,
+// and calib_ns, the best of three timings of a fixed dependent-integer loop.
+struct HostFingerprint {
+  unsigned nproc = 0;
+  std::string cpu_model = "unknown";
+  double calib_ns = 0;
+};
+
+inline HostFingerprint host_fingerprint() {
+  HostFingerprint h;
+  h.nproc = std::thread::hardware_concurrency();
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, f)) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      const char* v = std::strchr(line, ':');
+      if (!v) break;
+      std::string model(v + 1);
+      // Trim, and keep the string JSON-safe without an escaper.
+      std::erase_if(model, [](char c) { return c == '"' || c == '\\' || c == '\n'; });
+      const size_t first = model.find_first_not_of(' ');
+      h.cpu_model = first == std::string::npos ? "unknown" : model.substr(first);
+      break;
+    }
+    std::fclose(f);
+  }
+  for (int rep = 0; rep < 3; ++rep) {
+    const uint64_t t0 = now_ns();
+    uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (uint32_t i = 0; i < 10'000'000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    const double ns = static_cast<double>(now_ns() - t0);
+    asm volatile("" : : "r"(x));  // keep the loop
+    if (h.calib_ns == 0 || ns < h.calib_ns) h.calib_ns = ns;
+  }
+  return h;
+}
+
 class JsonReport {
  public:
   // `name` is the bench binary's short name; disabled reports swallow add()
@@ -174,6 +216,10 @@ class JsonReport {
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"reps\": %u,\n", name_.c_str(),
                  bench_reps());
+    const HostFingerprint host = host_fingerprint();
+    std::fprintf(f,
+                 "  \"host\": {\"nproc\": %u, \"cpu_model\": \"%s\", \"calib_ns\": %.0f},\n",
+                 host.nproc, host.cpu_model.c_str(), host.calib_ns);
     std::fprintf(f, "  \"stats\": %s,\n", stats_.to_json("  ").c_str());
     if (!series_.empty()) {
       std::fprintf(f, "  \"series\": {\"sample_ns\": %llu, \"metrics\": [\n",

@@ -4,7 +4,11 @@
 Checks that the report is well-formed, carries a non-empty StatsRegistry
 block (the observability plane is wired into the harness), and — when a
 baseline report is given — that throughput metrics have not regressed beyond
-a tolerance. Used by the CI bench-smoke job; run it locally the same way:
+a tolerance. A comparison also prints the host fingerprint of both reports
+(nproc, CPU model, calibration-loop ns; "not recorded" for reports written
+before the writer had one), so a slower runner shows next to the numbers; it
+does not change the verdict. Used by the CI bench-smoke job; run it locally
+the same way:
 
     bench/micro_fastpath --json report.json
     scripts/check_bench_report.py report.json \
@@ -22,6 +26,14 @@ def load(path):
 
 def index_results(report):
     return {(r["config"], r["metric"]): r for r in report.get("results", [])}
+
+
+def fingerprint(report):
+    host = report.get("host")
+    if not isinstance(host, dict):
+        return "not recorded"
+    return (f"nproc={host.get('nproc')} cpu_model={host.get('cpu_model')!r} "
+            f"calib_ns={host.get('calib_ns')}")
 
 
 def main():
@@ -124,7 +136,10 @@ def main():
                     last_t = t
 
     if args.baseline:
-        base = index_results(load(args.baseline))
+        base_report = load(args.baseline)
+        print(f"host (fresh):    {fingerprint(report)}")
+        print(f"host (baseline): {fingerprint(base_report)}")
+        base = index_results(base_report)
         fresh = index_results(report)
         for key, b in sorted(base.items()):
             f = fresh.get(key)

@@ -3,8 +3,9 @@
 //
 // These queues are the arrows in the paper's Fig. 2: application threads →
 // runtime (local-req queue), Rx thread → runtime (RPC-msg queue), runtime →
-// Tx thread (RDMA-req queue). All are MPSC: each queue has exactly one
-// consumer thread that owns its protocol state.
+// Tx thread (RDMA-req queue). All are MPSC: one pass at a time consumes a
+// queue, under the lock that guards the protocol state it feeds (the engine
+// lock, the Tx lock). Whichever thread holds that lock is the consumer.
 #pragma once
 
 #include <atomic>
@@ -95,6 +96,14 @@ class MpscQueue {
     delete tail;
     return true;
   }
+
+  // Marks the newest element pushed so far, for pop_through().
+  using Mark = const void*;
+  Mark mark() const { return head_.load(std::memory_order_acquire); }
+
+  // Single consumer only: pop() that stops once the element at `m` has been
+  // consumed, so a drain covers one snapshot and leaves later pushes queued.
+  bool pop_through(Mark m, T& out) { return tail_ != m && pop(out); }
 
   // Single consumer only: the oldest element, left in place; null when empty.
   T* front() {

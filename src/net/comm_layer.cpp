@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <span>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
@@ -68,6 +69,13 @@ size_t compute_max_msg_bytes(const ClusterConfig& cfg) {
 // its own ring, so two such threads would stall each other; a Tx thread
 // already holds the Tx lock when its pass dispatches.
 thread_local bool t_comm_thread = false;
+thread_local bool t_tx_thread = false;
+
+// DeferTx state: whether a scope is live on this thread, and the comm layer
+// its deferred posts went to (one per scope: a pass posts through its own
+// node).
+thread_local bool t_defer = false;
+thread_local CommLayer* t_deferred = nullptr;
 
 // A request's data source is consumed (posted zero-copy, or captured into the
 // arena): let its owner recycle it.
@@ -173,6 +181,28 @@ void CommLayer::stop() {
 void CommLayer::post(TxRequest req) {
   DARRAY_ASSERT_MSG(req.dst != node_id_, "self-sends must be short-circuited in the runtime");
   tx_queue_.push(std::move(req));
+  if (t_defer) {
+    DARRAY_ASSERT_MSG(t_deferred == nullptr || t_deferred == this,
+                      "one DeferTx scope posted through two comm layers");
+    t_deferred = this;
+    return;
+  }
+  run_or_ring();
+}
+
+CommLayer::DeferTx::DeferTx() {
+  DARRAY_ASSERT_MSG(!t_defer, "nested DeferTx scope");
+  t_defer = true;
+}
+
+CommLayer::DeferTx::~DeferTx() {
+  t_defer = false;
+  if (CommLayer* c = std::exchange(t_deferred, nullptr)) c->run_or_ring();
+}
+
+bool CommLayer::on_tx_thread() { return t_tx_thread; }
+
+void CommLayer::run_or_ring() {
   // Nobody is running the Tx pass: run it here, so the request goes out
   // without a hand-off to the Tx thread. Comm threads never do (see
   // t_comm_thread), and neither does anyone before start() or once stop()
@@ -1032,6 +1062,7 @@ void CommLayer::tx_main() {
   std::snprintf(tname, sizeof tname, "tx.%u", node_id_);
   obs::register_current_thread(tname);
   t_comm_thread = true;
+  t_tx_thread = true;
   tx_duty_.on_start();
   for (;;) {
     const uint32_t snap = tx_bell_.snapshot();

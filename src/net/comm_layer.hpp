@@ -11,7 +11,9 @@
 // the same lock. An inline pass never parks: it leaves to the Tx thread what
 // could block (an exhausted send arena), backoff-timed recovery and
 // rendezvous pulls/actions. All Tx-private state below is touched only under
-// the Tx lock.
+// the Tx lock. A runtime engine pass posts inside a DeferTx scope: its
+// requests are only queued, and go out in one pass after the engine lock is
+// released, so the two locks never nest.
 //
 // Small-message engine (docs/perf.md): with cfg.coalesce_enabled the Tx
 // pass packs every protocol message it finds queued for the same peer into
@@ -110,8 +112,24 @@ class CommLayer {
   void stop();
 
   // Any thread: enqueue an outbound request, and post it right away when no
-  // other thread is running the Tx pass (see the file comment).
+  // other thread is running the Tx pass (see the file comment). Inside a
+  // DeferTx scope it only enqueues.
   void post(TxRequest req);
+
+  // While one is live on a thread, that thread's post() calls only enqueue;
+  // its destructor then runs one Tx pass for them (inline when the Tx lock is
+  // free, else by ringing the Tx thread). Not reentrant.
+  class DeferTx {
+   public:
+    DeferTx();
+    ~DeferTx();
+    DeferTx(const DeferTx&) = delete;
+    DeferTx& operator=(const DeferTx&) = delete;
+  };
+
+  // True on the Tx thread. Its dispatches run under the Tx lock, so they must
+  // not enter a runtime engine pass (lock order: engine, then Tx).
+  static bool on_tx_thread();
 
   size_t max_msg_bytes() const { return max_msg_bytes_; }
 
@@ -290,6 +308,10 @@ class CommLayer {
   // sampled stacks name them (docs/observability.md v5).
   DARRAY_PROFILE_ANCHOR void tx_main();
   DARRAY_PROFILE_ANCHOR void rx_main();
+  // Run a Tx pass for what is queued when the Tx lock is free and this thread
+  // may post (not a comm thread, between start() and stop()); else ring the
+  // Tx thread.
+  void run_or_ring();
   // One Tx pass: stage everything queued, flush, retire completions, and (Tx
   // thread only) drive recovery and rendezvous. Caller holds tx_mu_. Returns
   // whether it made progress. An inline pass (run by a posting thread) never

@@ -79,7 +79,9 @@ size_t watchdog_scan(uint64_t now_ns, uint64_t deadline_ns,
     // the field loads; requiring the same corr afterwards rejects the torn
     // combination.
     if (s->corr.load(std::memory_order_acquire) != corr) continue;
-    if (now_ns - start < deadline_ns) continue;
+    // An op that began after the caller sampled now_ns is not late; without
+    // this check the unsigned age wraps and reports it.
+    if (start > now_ns || now_ns - start < deadline_ns) continue;
     if (s->reported.load(std::memory_order_relaxed) == corr) continue;
     s->reported.store(corr, std::memory_order_relaxed);
     SlowOp op;

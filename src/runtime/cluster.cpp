@@ -251,17 +251,23 @@ void Cluster::register_default_stats_sources() {
     s.add("net.rndz.fallbacks", total.fallbacks);
     s.add("net.rndz.bytes", total.bytes);
   });
-  // Tx passes run inline by posting threads, and how many of them left work
-  // (arena, recovery, rendezvous) to the Tx thread (docs/perf.md).
+  // Who ran the passes (docs/perf.md). Tx: passes run inline by posting
+  // threads, and how many of them left work (arena, recovery, rendezvous) to
+  // the Tx thread. Runtime: submissions whose thread ran the engine pass
+  // itself, and those left to another thread's pass.
   stats_registry_.add_source([this](obs::StatsSnapshot& s) {
     net::CommLayer::TxPassStats total;
+    RuntimeStats rt;
     for (const auto& n : nodes_) {
       const net::CommLayer::TxPassStats t = n->comm().tx_pass_stats();
       total.inline_passes += t.inline_passes;
       total.handoffs += t.handoffs;
+      rt += n->runtime_stats();
     }
     s.add("net.tx.inline_passes", total.inline_passes);
     s.add("net.tx.handoffs", total.handoffs);
+    s.add("runtime.inline_passes", rt.inline_passes);
+    s.add("runtime.handoffs", rt.handoffs);
   });
   // Per-node plane for live dashboards (darray-top): traffic split by node so
   // a hot or faulted node stands out from the cluster-wide sums below.

@@ -411,6 +411,7 @@ void Engine::home_shared(NodeArrayState& as, ChunkId c, HomeReq req) {
       ctl2.g = GlobalState::kOperated;
       ctl2.g_op = req.op;
       ctl2.op_nodes.clear();
+      d2.promote(DentryState::kOperated);
       if (req.src == self_) {
         complete_local(as, c, req.orig);
       } else {
@@ -429,13 +430,17 @@ void Engine::home_shared(NodeArrayState& as, ChunkId c, HomeReq req) {
     }
   };
 
-  // Home dentry: R → Operated needs a drain (readers must finish before ops
-  // begin); R → Invalid likewise for a remote write. R → W for a local write
-  // is a promotion handled in txn_then.
+  // Home dentry: readers must finish before ops begin, so R drains to
+  // pending-operate, and R → Invalid likewise for a remote write. The home
+  // starts applying (pending-operate → Operated) or writing (R → W for a
+  // local write) only in txn_then, once every sharer has acked: a kReadData
+  // sent to a sharer may still sit in the Tx queue, unposted, and its WRITE
+  // reads the home chunk when it is posted, before the kInvalidate queued
+  // behind it. The requester itself sent its request after its fill landed.
   if (operate) {
     d.op_id.store(req.op, std::memory_order_release);
     ctl.self_drain_pending = true;
-    start_drain(d, DentryState::kOperated, [this, &as, c] {
+    start_drain(d, DentryState::kPendingOperate, [this, &as, c] {
       as.ctl[c].self_drain_pending = false;
       maybe_complete_txn(as, c);
     });
@@ -753,14 +758,14 @@ void Engine::issue_prefetches(const NodeArrayState& as, ChunkId after) {
     const ChunkId c2 = after + i;
     if (c2 >= as.meta->n_chunks) return;
     if (as.meta->home_of_chunk(c2) == self_) continue;
-    // Rough pre-filter; the owning runtime thread re-checks before issuing.
+    // Rough pre-filter; the owning engine re-checks before issuing.
     if (as.dentries[c2].state.load(std::memory_order_relaxed) != DentryState::kInvalid)
       continue;
     auto* r = new LocalRequest();
     r->kind = LocalRequest::Kind::kPrefetch;
     r->array = as.meta->id;
     r->chunk = c2;
-    node_->submit_local(r);  // counted in handle_local by the owning thread
+    node_->submit_local(r);  // counted in handle_local by the owning engine
   }
 }
 

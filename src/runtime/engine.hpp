@@ -2,12 +2,15 @@
 // paper's extended directory protocol (§4.4, Fig. 9, Table 1) plus cache
 // management (§4.2) and the home side of distributed locks.
 //
-// Concurrency model: each chunk is owned by exactly one runtime thread per
-// node (chunk % runtime_threads). The engine therefore runs single-threaded
-// over its chunks and never blocks: operations that must wait (dentry drains,
-// invalidation acks, flush collection) are parked as continuations and
-// resumed from tick() / message arrival. Per-QP FIFO delivery resolves the
-// voluntary-eviction races (see DESIGN.md §3).
+// Concurrency model: each chunk is owned by exactly one engine per node
+// (chunk % runtime_threads). One pass at a time runs an engine, under its
+// runtime thread's engine lock, on whichever thread took the lock: the
+// runtime thread, or a submitter running the pass inline (runtime_thread.hpp).
+// The engine therefore runs single-threaded over its chunks and never blocks:
+// operations that must wait (dentry drains, invalidation acks, flush
+// collection) are parked as continuations and resumed from tick() / message
+// arrival. Per-QP FIFO delivery resolves the voluntary-eviction races (see
+// DESIGN.md §3).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +34,8 @@ class Engine {
  public:
   Engine(NodeRuntime* node, uint32_t rt_index, CacheRegion* region, Doorbell* bell);
 
-  // Entry points, called only from the owning runtime thread's loop.
+  // Entry points, called only from a pass under the owning runtime thread's
+  // engine lock.
   void handle_local(LocalRequest* r);
   void handle_rpc(net::RpcMessage m);
 
@@ -43,7 +47,7 @@ class Engine {
   // that drop without ringing the doorbell).
   bool needs_poll() const { return !alloc_retry_.empty(); }
 
-  // Single-writer counters; read from other threads only for reporting.
+  // Written under the engine lock; read from other threads only for reporting.
   const RuntimeStats& stats() const { return stats_; }
 
  private:

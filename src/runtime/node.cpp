@@ -40,9 +40,9 @@ void NodeRuntime::set_client_msg_handler(ClientMsgFn fn) {
 
 void NodeRuntime::deliver_client_msg(net::RpcMessage&& m) {
   // Delivery holds the same lock as install/uninstall: once
-  // set_client_msg_handler(nullptr) returns, no runtime thread is inside the
+  // set_client_msg_handler(nullptr) returns, no engine pass is inside the
   // old sink. The critical section is one routing decision — a queue push or
-  // a shed reply — so contention between runtime threads stays negligible.
+  // a shed reply — so contention between engine passes stays negligible.
   std::lock_guard lk(client_mu_);
   if (!client_fn_) {
     client_msgs_dropped_.fetch_add(1, std::memory_order_relaxed);

@@ -48,7 +48,8 @@ class NodeRuntime {
 
   // Client-serving plane (src/serve): the front door installs a sink for
   // kClientReq/kClientResp deliveries, keeping the runtime → serve dependency
-  // inverted. The sink runs on runtime threads under a per-node lock (so an
+  // inverted. The sink runs inside engine passes (on a runtime thread or a
+  // submitter running the pass inline) under a per-node lock (so an
   // uninstall can never race a delivery) and must route without blocking —
   // admission/shed decisions only, never KVS execution. With no sink
   // installed the message is dropped and counted: sessions only exist while

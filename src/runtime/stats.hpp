@@ -1,5 +1,5 @@
-// Runtime-layer counters: single-writer per runtime thread, aggregated on
-// demand. Used by the ablation benches and by tests that assert *behaviour*
+// Runtime-layer counters: written under one runtime thread's engine lock
+// (by whichever thread runs its pass), aggregated on demand. Used by the ablation benches and by tests that assert *behaviour*
 // (e.g. "prefetch turned N demand misses into hits") rather than timing.
 #pragma once
 
@@ -10,8 +10,8 @@ namespace darray::rt {
 
 // A uint64 counter with the syntax of a plain field but relaxed-atomic
 // accesses, so the telemetry sampler can aggregate per-thread stats while
-// their owner threads keep bumping them. Single writer per instance; relaxed
-// is enough because each counter is independent and only ever summed.
+// their writers keep bumping them. Relaxed is enough because each counter is
+// independent and only ever summed.
 class RelaxedCounter {
  public:
   RelaxedCounter() = default;
@@ -70,6 +70,10 @@ struct RuntimeStats {
   RelaxedCounter lock_acquires;
   RelaxedCounter lock_waits;        // acquires that had to queue
 
+  // who ran the engine pass, one count per submission (docs/perf.md)
+  RelaxedCounter inline_passes;     // the submitting thread ran it
+  RelaxedCounter handoffs;          // left to another thread's pass
+
   RuntimeStats& operator+=(const RuntimeStats& o) {
     local_read_misses += o.local_read_misses;
     local_write_misses += o.local_write_misses;
@@ -89,6 +93,8 @@ struct RuntimeStats {
     combine_flushes += o.combine_flushes;
     lock_acquires += o.lock_acquires;
     lock_waits += o.lock_waits;
+    inline_passes += o.inline_passes;
+    handoffs += o.handoffs;
     return *this;
   }
 

@@ -55,7 +55,7 @@ void ServiceImpl::start() {
 void ServiceImpl::shutdown() {
   if (down_.exchange(true)) return;
   // Uninstall the sinks first: set_client_msg_handler holds the delivery
-  // lock, so once it returns no runtime thread can enter on_client_msg.
+  // lock, so once it returns no engine pass can enter on_client_msg.
   for (uint32_t i = 0; i < cluster_.num_nodes(); ++i)
     cluster_.node(i).set_client_msg_handler(nullptr);
   for (auto& d : dispatchers_) d->stop();
@@ -129,7 +129,7 @@ void ServiceImpl::on_client_msg(rt::NodeId n, net::RpcMessage&& m) {
     return;
   }
 
-  // kClientReq on the owner node. Runs on a runtime thread: decode, then a
+  // kClientReq on the owner node. Runs in an engine pass: decode, then a
   // constant-time admit-or-shed. Never executes KVS work here.
   Job job;
   job.origin = m.hdr.src_node;

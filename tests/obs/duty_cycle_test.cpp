@@ -100,6 +100,9 @@ TEST(DutyCycle, ConcurrentSampleDuringParkCycles) {
     });
   }
   for (auto& t : samplers) t.join();
+  // The samplers can finish before the owner is first scheduled; let it
+  // complete one park cycle so the final count checks a park, not a race.
+  while (d.sample().parks == 0) std::this_thread::yield();
   stop.store(true, std::memory_order_relaxed);
   owner.join();
 

@@ -38,6 +38,8 @@ TEST(ClusterStats, SnapshotCoversEveryLayer) {
   EXPECT_NE(s.find("runtime.fills"), nullptr);
   EXPECT_NE(s.find("pool.hits"), nullptr);
   EXPECT_NE(s.find("comm.dropped_requests"), nullptr);
+  EXPECT_NE(s.find("runtime.inline_passes"), nullptr);
+  EXPECT_NE(s.find("runtime.handoffs"), nullptr);
   EXPECT_NE(s.find("trace.recorded"), nullptr);
   // No chaos plan armed: the chaos.* block is absent, not zero-filled.
   EXPECT_EQ(s.find("chaos.rnr_rejections"), nullptr);
@@ -83,14 +85,16 @@ TEST(TraceAttribution, InjectedRnrRetryMapsBackToApiOp) {
     cfg.fault_plan = &plan;
     cfg.tracing_enabled = true;
     rt::Cluster cluster(cfg);
-    auto a = DArray<uint64_t>::create(cluster, 1024);
+    // 32 chunks per node: enough SENDs per QP that the seeded plan bites
+    // however many protocol frames share one SEND.
+    auto a = DArray<uint64_t>::create(cluster, 4096);
     run_on_nodes(cluster, [&](rt::NodeId n) {
       // Every op touches the other node's partition, so each one crosses the
       // wire and is exposed to the injector.
       const uint64_t base = a.local_begin(1 - n);
-      for (uint64_t i = 0; i < 512; ++i) {
-        a.set(base + (i % 512), i);
-        (void)a.get(base + (i % 512));
+      for (uint64_t i = 0; i < 2048; ++i) {
+        a.set(base + i, i);
+        (void)a.get(base + i);
       }
     });
     ASSERT_GT(cluster.stats().value_or("chaos.rnr_rejections"), 0u)

@@ -157,5 +157,38 @@ TEST(RuntimeStats, LockWaitsUnderContention) {
   EXPECT_GT(s.lock_waits, 0u) << "four threads on one lock must queue sometimes";
 }
 
+// Every submission to a runtime thread either runs the engine pass on the
+// submitting thread or leaves it to another thread's pass; the two counters
+// partition the submissions. Which thread wins the engine lock depends on
+// scheduling, so only the sum is asserted. Node 0 locks an element it homes;
+// two node-1 threads lock the same element remotely. Per iteration that is:
+// node 0 acquire + release (2); per node-1 thread, acquire + release at node 1
+// (2), kLockAcq + kLockRel delivered at node 0 (2), kLockGrant at node 1 (1).
+TEST(RuntimeStats, EverySubmissionRunsInlineOrHandsOff) {
+  rt::Cluster cluster(small_cfg(2));
+  auto arr = darray::DArray<uint64_t>::create(cluster, 128);
+  constexpr uint64_t kIters = 40;
+  const uint64_t idx = arr.local_begin(0);
+  darray::testing::run_on_nodes_mt(cluster, 2, [&](rt::NodeId n, uint32_t t) {
+    if (n == 0 && t == 1) return;
+    for (uint64_t k = 0; k < kIters; ++k) {
+      arr.wlock(idx);
+      arr.unlock(idx);
+    }
+  });
+  const uint64_t expected = kIters * (2 + 2 * (2 + 2 + 1));
+  const auto passes = [&cluster] {
+    const obs::StatsSnapshot s = cluster.stats();
+    return s.value_or("runtime.inline_passes") + s.value_or("runtime.handoffs");
+  };
+  // The last kLockRel reaches node 0 after the remote unlock() returns.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (passes() < expected && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(passes(), expected);
+  const RuntimeStats s = cluster.runtime_stats();
+  EXPECT_EQ(s.inline_passes + s.handoffs, expected);
+}
+
 }  // namespace
 }  // namespace darray::rt
