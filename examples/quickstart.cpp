@@ -13,8 +13,8 @@
 using namespace darray;
 
 int main() {
-  // 1. A simulated 4-node RDMA cluster (each "node" = runtime + Tx/Rx threads
-  //    joined by the simulated fabric).
+  // 1. A simulated 4-node RDMA cluster (each "node" = runtime threads + one
+  //    comm progress thread, joined by the simulated fabric).
   rt::ClusterConfig cfg;
   cfg.num_nodes = 4;
   rt::Cluster cluster(cfg);

@@ -17,13 +17,13 @@ would choke on, plus the repo's own attribution invariants:
     (anything not "[unnamed]" — rings exist only for registered threads, so
     a miss here means the registration hooks regressed);
   - each --require-symbol SUBSTR appears in at least one stack (CI passes the
-    tx drain and dispatcher worker: the serve soak must attribute cycles to
-    both by name).
+    comm progress loop and dispatcher worker: the serve soak must attribute
+    cycles to both by name).
 
 Stdlib only:
 
     scripts/validate_collapsed.py serve_profile.collapsed \
-        --require-symbol tx_main --require-symbol worker_main
+        --require-symbol progress_main --require-symbol worker_main
 """
 import argparse
 import sys

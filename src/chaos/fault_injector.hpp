@@ -2,7 +2,7 @@
 //
 // The fabric consults the injector on every posted WR. Decisions are drawn
 // from a per-QP xoshiro stream seeded from (plan.seed, qp_num), and each QP is
-// posted to by exactly one thread (the owning node's Tx thread), so the
+// posted to by one thread at a time (the owning node's Tx lock holder), so the
 // decision sequence a QP sees depends only on the seed and the sequence of
 // WRs it posts — never on cross-thread interleaving. Node outage windows are
 // evaluated against a shared epoch (the first WR the injector observes).

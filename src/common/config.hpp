@@ -36,7 +36,7 @@ struct ClusterConfig {
   uint32_t selective_signal_interval = 16;  // signal 1 of every r sends (§4.5)
 
   // --- small-message engine (docs/perf.md) ----------------------------------
-  // Per-peer SEND coalescing: the Tx thread packs every protocol message it
+  // Per-peer SEND coalescing: the Tx pass packs every protocol message it
   // finds queued for the same peer into one wire SEND (kBatch framing) and
   // rings the NIC doorbell once per peer per drain pass. Off restores the
   // one-SEND-per-message pre-coalescing path exactly.
@@ -66,7 +66,7 @@ struct ClusterConfig {
   uint32_t rendezvous_mtu_bytes = 64 * 1024;
   // Source-region lease table depth per comm layer. A sender with every
   // lease busy falls back to eager for the overflow transfer (counted in
-  // net.rndz.fallbacks) instead of blocking the Tx thread.
+  // net.rndz.fallbacks) instead of blocking the Tx pass.
   uint32_t rendezvous_max_leases = 32;
 
   // --- fault injection & recovery -------------------------------------------

@@ -2,10 +2,11 @@
 // Doorbell used to park consumer threads.
 //
 // These queues are the arrows in the paper's Fig. 2: application threads →
-// runtime (local-req queue), Rx thread → runtime (RPC-msg queue), runtime →
-// Tx thread (RDMA-req queue). All are MPSC: one pass at a time consumes a
-// queue, under the lock that guards the protocol state it feeds (the engine
-// lock, the Tx lock). Whichever thread holds that lock is the consumer.
+// runtime (local-req queue), progress thread → runtime (RPC-msg queue),
+// runtime → Tx pass (RDMA-req queue). All are MPSC: one pass at a time
+// consumes a queue, under the lock that guards the protocol state it feeds
+// (the engine lock, the Tx lock). Whichever thread holds that lock is the
+// consumer.
 #pragma once
 
 #include <atomic>

@@ -64,12 +64,9 @@ size_t compute_max_msg_bytes(const ClusterConfig& cfg) {
   return sizeof(MsgHeader) + size_t{cfg.chunk_elems} * sizeof(OpFlushEntry);
 }
 
-// Set on Tx and Rx threads. They never run an inline Tx pass: an Rx thread
-// blocked in a SEND to a peer whose receive ring is empty could not repost
-// its own ring, so two such threads would stall each other; a Tx thread
-// already holds the Tx lock when its pass dispatches.
-thread_local bool t_comm_thread = false;
-thread_local bool t_tx_thread = false;
+// The comm layer whose progress thread this is (null elsewhere). Only that
+// thread consumes the recv CQ, so only it may arm the ring.
+thread_local const CommLayer* t_progress = nullptr;
 
 // DeferTx state: whether a scope is live on this thread, and the comm layer
 // its deferred posts went to (one per scope: a pass posts through its own
@@ -108,7 +105,7 @@ CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& 
     // Chaos mode stages eager-fallback payloads (a NAKed rendezvous reverts
     // to chunked arena staging), so reserve room for a few concurrent
     // fallbacks of several-threshold size. Fallback payloads much larger
-    // than 8× the threshold can exhaust the arena and wedge the Tx thread;
+    // than 8× the threshold can exhaust the arena and wedge the Tx pass;
     // chaos tests must size transfers (or the threshold) accordingly.
     if (cfg_.rendezvous_enabled) {
       const size_t fallback_bytes = size_t{8} * cfg_.rendezvous_threshold_bytes;
@@ -121,7 +118,8 @@ CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& 
   send_free_.reserve(send_buf_count_);
   for (uint32_t i = 0; i < send_buf_count_; ++i) send_free_.push_back(i);
   post_wrs_.reserve(64);
-  rx_scratch_.reserve(cfg_.coalesce_max_frames);
+  rx_backlog_.reserve(cfg_.coalesce_max_frames);
+  rx_work_.reserve(cfg_.coalesce_max_frames);
 
   const size_t recv_count = size_t{num_nodes_} * cfg_.qp_depth;
   recv_arena_ = std::make_unique<std::byte[]>(recv_count * max_msg_bytes_);
@@ -132,9 +130,18 @@ CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& 
   DARRAY_ASSERT(cfg_.rendezvous_max_leases <= 0x10000);
   leases_.resize(cfg_.rendezvous_max_leases);
   peer_tx_ = std::make_unique<PeerTxCounters[]>(num_nodes_);
+
+  // A SEND waiting for a peer's ring keeps this node's ring armed, when the
+  // waiter is the one thread that may arm it.
+  device_->set_wait_hook([this] {
+    if (t_progress == this) arm_recv_ring();
+  });
 }
 
-CommLayer::~CommLayer() { stop(); }
+CommLayer::~CommLayer() {
+  stop();
+  device_->set_wait_hook(nullptr);
+}
 
 void CommLayer::set_qp(uint32_t peer, rdma::QueuePair* qp) {
   DARRAY_ASSERT(peer < num_nodes_ && peer != node_id_);
@@ -162,8 +169,7 @@ void CommLayer::start() {
       qp->post_recv(wr);
     }
   }
-  tx_thread_ = std::thread([this] { tx_main(); });
-  rx_thread_ = std::thread([this] { rx_main(); });
+  progress_thread_ = std::thread([this] { progress_main(); });
   inline_ok_.store(true, std::memory_order_release);
 }
 
@@ -171,10 +177,8 @@ void CommLayer::stop() {
   if (!started_) return;
   inline_ok_.store(false, std::memory_order_release);
   stop_.store(true, std::memory_order_release);
-  tx_bell_.ring();
-  rx_bell_.ring();
-  tx_thread_.join();
-  rx_thread_.join();
+  bell_.ring();
+  progress_thread_.join();
   started_ = false;
 }
 
@@ -200,23 +204,19 @@ CommLayer::DeferTx::~DeferTx() {
   if (CommLayer* c = std::exchange(t_deferred, nullptr)) c->run_or_ring();
 }
 
-bool CommLayer::on_tx_thread() { return t_tx_thread; }
-
 void CommLayer::run_or_ring() {
   // Nobody is running the Tx pass: run it here, so the request goes out
-  // without a hand-off to the Tx thread. Comm threads never do (see
-  // t_comm_thread), and neither does anyone before start() or once stop()
-  // has begun.
-  if (!t_comm_thread && inline_ok_.load(std::memory_order_acquire)) {
+  // without a hand-off. Nobody does before start() or once stop() has begun.
+  if (inline_ok_.load(std::memory_order_acquire)) {
     std::unique_lock<std::mutex> lk(tx_mu_, std::try_to_lock);
     if (lk.owns_lock()) {
       tx_pass(/*inline_caller=*/true);
       return;
     }
   }
-  // The lock holder may be past its queue drain; the ring makes the Tx
+  // The lock holder may be past its queue drain; the ring makes the progress
   // thread run one more pass.
-  tx_bell_.ring();
+  bell_.ring();
 }
 
 void CommLayer::fail(const CommError& err) {
@@ -241,7 +241,7 @@ void CommLayer::fail_entry(uint32_t peer, Outstanding& e, const char* reason) {
     if (it != rndz_pulls_.end()) {
       DLOG_DEBUG("node %u: rendezvous pull %u from peer %u abandoned (%s), NAKing",
                  node_id_, e.rndz_id, peer, reason);
-      rndz_nak_.push_back({it->second.src, it->second.lease_id, it->second.trace});
+      rndz_nak_.push_back({it->second.src, it->second.desc.lease_id, it->second.trace});
       rndz_pulls_.erase(it);
     }
     return;
@@ -333,7 +333,7 @@ void CommLayer::reclaim_send_buffers() {
               .record(done_ns > staged ? done_ns - staged : 0);
         }
         // A retired final READ chunk completes its rendezvous pull; the
-        // dispatch + FIN happen at the Tx loop's top level (never nested
+        // dispatch + FIN happen at the full pass's top level (never nested
         // inside a flush), so just queue the id.
         if (front.rndz_last) rndz_done_.push_back(front.rndz_id);
         release_buf(front.buf);
@@ -355,35 +355,20 @@ uint32_t CommLayer::acquire_send_buffer() {
     reclaim_send_buffers();
   }
   while (send_free_.empty()) {
-    // Only the Tx thread may park here: the doorbell has one consumer, and
-    // tx_pass keeps inline passes within the free arena.
-    DARRAY_ASSERT_MSG(t_comm_thread, "an inline Tx pass ran out of send buffers");
-    // Park on the Tx doorbell with the send CQ armed (CQE arrivals ring the
-    // bell), bounded by the earliest completion holdback or retry backoff —
-    // recovery may be holding every buffer across a backoff window, and
-    // nothing rings the bell when it expires.
-    const uint32_t snap = tx_bell_.snapshot();
+    // Only the progress thread may wait here: the doorbell has one consumer,
+    // and tx_pass keeps inline passes within the free arena.
+    DARRAY_ASSERT_MSG(t_progress == this, "an inline Tx pass ran out of send buffers");
+    // The peer may be waiting on our ring while we wait on its completions:
+    // keep the ring armed, then park on the doorbell (CQE arrivals ring it),
+    // bounded by the earliest holdback or retry backoff — recovery may be
+    // holding every buffer across a backoff window, and nothing rings the
+    // bell when it expires.
+    const uint32_t snap = bell_.snapshot();
+    arm_recv_ring();
     reclaim_send_buffers();
-    pump_retries(now_ns());
+    if (pump_retries(now_ns())) continue;  // re-arm the reset QP's ring first
     if (!send_free_.empty()) break;
-    uint64_t due = send_cq_.next_due_in();
-    const uint64_t rdue = retry_due_in(now_ns());
-    if (rdue < due) due = rdue;
-    if (due == ~0ull) {
-      const uint64_t t0 = tx_duty_.park_begin();
-      tx_bell_.wait_change(snap);
-      tx_duty_.park_end(t0);
-    } else if (due > 0) {
-      // sleep_for has a scheduler-quantum floor far above microsecond-scale
-      // link latencies, so short waits busy-poll.
-      if (due < 20'000) {
-        cpu_relax();
-      } else {
-        const uint64_t t0 = tx_duty_.park_begin();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(due));
-        tx_duty_.park_end(t0);
-      }
-    }
+    park(snap, next_due_in());
   }
   const uint32_t buf = send_free_.back();
   send_free_.pop_back();
@@ -415,7 +400,8 @@ void CommLayer::post_entry(uint32_t peer, Outstanding e) {
   DARRAY_ASSERT_MSG(ok, "retry post failed local validation");
 }
 
-void CommLayer::pump_retries(uint64_t now) {
+bool CommLayer::pump_retries(uint64_t now) {
+  bool reset = false;
   for (uint32_t peer = 0; peer < num_nodes_; ++peer) {
     auto& rec = recovery_[peer];
     if (rec.moved.empty() && rec.retry.empty()) continue;
@@ -430,7 +416,7 @@ void CommLayer::pump_retries(uint64_t now) {
     }
     if (now < rec.next_attempt_ns) continue;
     rdma::QueuePair* qp = qp_to_peer_[peer];
-    qp->reset();  // ERROR → RTS; no-op when already RTS
+    reset |= qp->reset();  // ERROR → RTS; no-op when already RTS
     while (!rec.retry.empty()) {
       Outstanding e = std::move(rec.retry.front());
       rec.retry.pop_front();
@@ -460,6 +446,7 @@ void CommLayer::pump_retries(uint64_t now) {
       if (qp->state() == rdma::QpState::kError) break;
     }
   }
+  return reset;
 }
 
 uint64_t CommLayer::retry_due_in(uint64_t now) const {
@@ -623,7 +610,7 @@ void CommLayer::enqueue_tx(TxRequest& req) {
   // falls through to the eager path below.
   if (req.has_data() && !req.force_eager && cfg_.rendezvous_enabled &&
       req.data_len >= cfg_.rendezvous_threshold_bytes) {
-    if (start_rndz(req, now)) return;
+    if (start_rndz(req)) return;
   }
 
   auto& pc = peer_tx_[peer];
@@ -756,8 +743,7 @@ void CommLayer::stage_pending(uint32_t peer) {
 
 // --- rendezvous large-message engine (docs/perf.md) ---------------------------
 
-bool CommLayer::start_rndz(TxRequest& req, uint64_t now) {
-  (void)now;
+bool CommLayer::start_rndz(TxRequest& req) {
   const uint16_t dst = req.dst;
   const uint64_t trace = req.hdr.trace;
   // The embedded notification frame is dispatched verbatim by the peer once
@@ -786,7 +772,7 @@ bool CommLayer::start_rndz(TxRequest& req, uint64_t now) {
     }
     if (slot == leases_.size()) {
       // Every lease is pinned: fall back to the eager path rather than block
-      // the Tx thread on a network round trip.
+      // the Tx pass on a network round trip.
       rndz_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -849,7 +835,7 @@ bool CommLayer::handle_rndz_msg(RpcMessage& m) {
     case MsgType::kRndzReq: {
       DARRAY_ASSERT_MSG(m.payload.size() >= sizeof(RndzDesc) + sizeof(MsgHeader),
                         "malformed kRndzReq payload");
-      RndzJob job;
+      RndzPull job;
       const std::byte* p = m.payload.data();
       std::memcpy(&job.desc, p, sizeof(RndzDesc));
       std::memcpy(&job.inner_hdr, p + sizeof(RndzDesc), sizeof(MsgHeader));
@@ -861,7 +847,7 @@ bool CommLayer::handle_rndz_msg(RpcMessage& m) {
                                  job.inner_hdr.payload_len);
       job.src = m.hdr.src_node;
       job.trace = m.hdr.trace;
-      rndz_jobs_.push(std::move(job));  // rings the Tx bell
+      rndz_jobs_.push_back(std::move(job));  // this thread's next full pass pulls
       return true;
     }
     case MsgType::kRndzFin:
@@ -875,47 +861,42 @@ bool CommLayer::handle_rndz_msg(RpcMessage& m) {
   }
 }
 
-void CommLayer::start_pull(RndzJob&& job, uint64_t now) {
+void CommLayer::start_pull(RndzPull&& job, uint64_t now) {
   const uint32_t peer = job.src;
   DARRAY_ASSERT(peer < num_nodes_ && qp_to_peer_[peer] != nullptr);
   rdma::QueuePair* qp = qp_to_peer_[peer];
-  std::byte* dst = device_->translate(job.desc.dst_addr, job.desc.dst_rkey, job.desc.len);
-  if (dst == nullptr || job.desc.len == 0) {
+  const RndzDesc desc = job.desc;
+  const uint64_t trace = job.trace;
+  std::byte* dst = device_->translate(desc.dst_addr, desc.dst_rkey, desc.len);
+  if (dst == nullptr || desc.len == 0) {
     // Destination not registered here (or a degenerate advertisement): NAK so
     // the sender reverts to eager and its own validation paths.
-    rndz_nak_.push_back({job.src, job.desc.lease_id, job.trace});
+    rndz_nak_.push_back({job.src, desc.lease_id, trace});
     return;
   }
   const uint32_t id = next_rndz_id_++;
   if (next_rndz_id_ == 0) next_rndz_id_ = 1;  // id 0 means "not a pull chunk"
-  RndzPull pull;
-  pull.src = job.src;
-  pull.lease_id = job.desc.lease_id;
-  pull.len = job.desc.len;
-  pull.trace = job.trace;
-  pull.inner_hdr = job.inner_hdr;
-  pull.inner_payload = std::move(job.inner_payload);
-  rndz_pulls_.emplace(id, std::move(pull));
+  rndz_pulls_.emplace(id, std::move(job));
 
   auto& rec = recovery_[peer];
   const bool behind_recovery = recovering(peer);
   if (behind_recovery) stage_pending(peer);  // pulls line up behind staged work
   const uint32_t mtu = cfg_.rendezvous_mtu_bytes;
   post_wrs_.clear();
-  for (uint32_t off = 0; off < job.desc.len; off += mtu) {
-    const uint32_t n = std::min(mtu, job.desc.len - off);
+  for (uint32_t off = 0; off < desc.len; off += mtu) {
+    const uint32_t n = std::min(mtu, desc.len - off);
     Outstanding e;
     e.op = rdma::Opcode::kRead;
     e.len = n;
-    e.remote_addr = job.desc.src_addr + off;
-    e.rkey = job.desc.src_rkey;
+    e.remote_addr = desc.src_addr + off;
+    e.rkey = desc.src_rkey;
     e.read_dst = dst + off;
-    e.read_lkey = job.desc.dst_rkey;
+    e.read_lkey = desc.dst_rkey;
     e.deadline_ns = now + cfg_.comm_deadline_ns;
-    e.trace = job.trace;
+    e.trace = trace;
     e.msg_class = kMsgClassRndzData;
     e.rndz_id = id;
-    e.rndz_last = off + n >= job.desc.len;
+    e.rndz_last = off + n >= desc.len;
     if (behind_recovery) {
       rec.retry.push_back(std::move(e));
       continue;
@@ -952,8 +933,7 @@ void CommLayer::send_ctl(uint16_t dst, MsgType type, uint32_t lease_id, uint64_t
   enqueue_tx(req);
 }
 
-bool CommLayer::process_rndz_actions(uint64_t now) {
-  (void)now;
+bool CommLayer::process_rndz_actions() {
   if (rndz_done_.empty() && rndz_nak_.empty()) return false;
   // Swap the lists out first: the sends below can re-enter reclaim and append.
   std::vector<uint32_t> done;
@@ -965,14 +945,15 @@ bool CommLayer::process_rndz_actions(uint64_t now) {
     if (it == rndz_pulls_.end()) continue;  // abandoned before retirement
     RndzPull pull = std::move(it->second);
     rndz_pulls_.erase(it);
-    qp_to_peer_[pull.src]->fabric().count_rndz(pull.len);
-    // The signaled CQE guarantees every READ chunk landed: deliver the
-    // embedded notification, then release the sender's lease with a FIN.
+    qp_to_peer_[pull.src]->fabric().count_rndz(pull.desc.len);
+    // The signaled CQE guarantees every READ chunk landed: release the
+    // sender's lease with a FIN, and queue the embedded notification for
+    // dispatch outside the Tx lock.
     RpcMessage m;
     m.hdr = pull.inner_hdr;
     m.payload = std::move(pull.inner_payload);
-    dispatch_(std::move(m));
-    send_ctl(pull.src, MsgType::kRndzFin, pull.lease_id, pull.trace);
+    rx_backlog_.push_back(std::move(m));
+    send_ctl(pull.src, MsgType::kRndzFin, pull.desc.lease_id, pull.trace);
   }
   for (const RndzNak& n : naks)
     send_ctl(n.src, MsgType::kRndzAck, n.lease_id, n.trace);
@@ -1001,7 +982,8 @@ bool CommLayer::tx_pass(bool inline_caller) {
   // arena is empty. So it takes a request only while the arena still covers
   // the worst case of every request taken in this pass (buffers come back
   // only through reclaim, which runs after the drain). Whatever it leaves
-  // queued goes to the Tx thread, in order, as does any peer in recovery.
+  // queued goes to the progress thread, in order, as does any peer in
+  // recovery.
   size_t budget = inline_caller ? send_free_.size() : 0;
   bool handoff = false;
   TxRequest req;
@@ -1023,33 +1005,34 @@ bool CommLayer::tx_pass(bool inline_caller) {
     // Long drains must not hold frames past the coalescing deadline.
     if ((++drained & 63u) == 0) flush_due(now_ns());
   }
-  // Rendezvous pulls handed over by the Rx thread (a pull is a
-  // doorbell-batched run of READ WRs); the Tx thread's job.
-  RndzJob job;
-  while (!inline_caller && rndz_jobs_.pop(job)) {
-    start_pull(std::move(job), now_ns());
+  // Rendezvous pulls the progress thread's dispatch parsed (a pull is a
+  // doorbell-batched run of READ WRs).
+  if (!inline_caller && !rndz_jobs_.empty()) {
+    for (RndzPull& job : rndz_jobs_) start_pull(std::move(job), now_ns());
+    rndz_jobs_.clear();
     progressed = true;
   }
   // Drain over: ring each peer's doorbell once with everything staged.
   flush_all();
   reclaim_send_buffers();
   if (inline_caller) {
-    // Backoff-timed replays and rendezvous actions belong to the Tx thread.
+    // Backoff-timed replays and rendezvous actions belong to the progress
+    // thread.
     bool any_recovering = false;
     for (uint32_t peer = 0; peer < num_nodes_; ++peer)
       any_recovering |= peer != node_id_ && recovering(peer);
     inline_passes_.fetch_add(1, std::memory_order_relaxed);
     if (handoff || any_recovering || !rndz_done_.empty() || !rndz_nak_.empty()) {
       handoffs_.fetch_add(1, std::memory_order_relaxed);
-      tx_bell_.ring();
+      bell_.ring();
     }
     return progressed;
   }
-  pump_retries(now_ns());
+  progressed |= pump_retries(now_ns());
   // Completed/abandoned pulls surface here, at top level only (never nested
   // inside a flush): dispatch + FIN, or NAK. The control sends they stage
   // go out in a final flush pass.
-  if (process_rndz_actions(now_ns())) {
+  if (process_rndz_actions()) {
     progressed = true;
     flush_all();
     reclaim_send_buffers();
@@ -1057,168 +1040,141 @@ bool CommLayer::tx_pass(bool inline_caller) {
   return progressed;
 }
 
-void CommLayer::tx_main() {
-  char tname[16];
-  std::snprintf(tname, sizeof tname, "tx.%u", node_id_);
-  obs::register_current_thread(tname);
-  t_comm_thread = true;
-  t_tx_thread = true;
-  tx_duty_.on_start();
+uint64_t CommLayer::next_due_in() const {
+  // Completions may be held back by the latency model, and retries wait out
+  // their backoff window; none of them rings the doorbell when it is due.
+  return std::min({send_cq_.next_due_in(), recv_cq_.next_due_in(), retry_due_in(now_ns())});
+}
+
+void CommLayer::park(uint32_t snap, uint64_t due) {
+  if (due == 0) return;
+  // sleep_for has a scheduler-quantum floor far above microsecond-scale link
+  // latencies, so short waits busy-poll.
+  if (due < 20'000) {
+    cpu_relax();
+    return;
+  }
+  const uint64_t t0 = duty_.park_begin();
+  if (due == ~0ull) {
+    bell_.wait_change(snap);
+  } else {
+    // A timed park still answers the doorbell within a slice: the ring may
+    // be a message for the receive ring.
+    const uint64_t until = t0 + due;
+    for (uint64_t now = t0; now < until && bell_.snapshot() == snap; now = now_ns()) {
+      const uint64_t slice = std::min<uint64_t>(until - now, 50'000);
+      std::this_thread::sleep_for(std::chrono::nanoseconds(slice));
+    }
+  }
+  duty_.park_end(t0);
+}
+
+bool CommLayer::arm_recv_ring() {
+  bool progressed = false;
+  rdma::WorkCompletion wcs[32];
   for (;;) {
-    const uint32_t snap = tx_bell_.snapshot();
-    bool progressed = false;
+    const size_t n = recv_cq_.poll(wcs);
+    if (n == 0) break;
+    progressed = true;
+    for (size_t i = 0; i < n; ++i) {
+      const rdma::WorkCompletion& wc = wcs[i];
+      DARRAY_ASSERT(wc.opcode == rdma::Opcode::kRecv);
+      rdma::RecvWr rwr;
+      rwr.addr = reinterpret_cast<std::byte*>(wc.wr_id);
+      rwr.length = static_cast<uint32_t>(max_msg_bytes_);
+      rwr.lkey = recv_mr_.lkey;
+      rwr.wr_id = wc.wr_id;
+      if (wc.status == rdma::WcStatus::kFlushError) {
+        // Our QP errored and flushed its recv ring. Park the buffer; it is
+        // reposted once the Tx pass has reset the QP (reposting now would
+        // just flush again).
+        parked_recvs_[wc.peer_node].push_back(rwr);
+        continue;
+      }
+      DARRAY_ASSERT(wc.status == rdma::WcStatus::kSuccess);
+      const std::byte* bufp = rwr.addr;
+      MsgHeader hdr;
+      std::memcpy(&hdr, bufp, sizeof(MsgHeader));
+      DARRAY_ASSERT(sizeof(MsgHeader) + hdr.payload_len == wc.byte_len);
+      if (hdr.type == MsgType::kBatch) {
+        // Coalesced SEND: unpack every frame (copying payloads out of the
+        // recv ring).
+        BatchReader r(bufp + sizeof(MsgHeader), hdr.payload_len, hdr.aux);
+        MsgHeader fh;
+        const std::byte* fp = nullptr;
+        while (r.next(fh, fp)) {
+          RpcMessage& m = rx_backlog_.emplace_back();
+          m.hdr = fh;
+          if (fh.payload_len > 0) m.payload.assign(fp, fh.payload_len);
+        }
+        DARRAY_ASSERT_MSG(r.valid(), "malformed coalesced batch image");
+      } else {
+        RpcMessage& m = rx_backlog_.emplace_back();
+        m.hdr = hdr;
+        if (hdr.payload_len > 0) m.payload.assign(bufp + sizeof(MsgHeader), hdr.payload_len);
+      }
+      // Copied out: repost the buffer to the QP it came from.
+      qp_by_num_[wc.qp_num]->post_recv(rwr);
+    }
+  }
+  // Re-arm parked recv buffers once their QP is back in RTS. A lost race
+  // (the QP errors again mid-repost) just parks them again via flush CQEs.
+  for (uint32_t peer = 0; peer < num_nodes_; ++peer) {
+    auto& parked = parked_recvs_[peer];
+    if (parked.empty()) continue;
+    rdma::QueuePair* qp = qp_to_peer_[peer];
+    if (qp->state() != rdma::QpState::kRts) continue;
+    for (const rdma::RecvWr& r : parked) qp->post_recv(r);
+    parked.clear();
+    progressed = true;
+  }
+  return progressed;
+}
+
+bool CommLayer::dispatch_backlog() {
+  if (rx_backlog_.empty()) return false;
+  rx_work_.swap(rx_backlog_);
+  for (RpcMessage& m : rx_work_) {
+    DLOG_DEBUG("node %u rx %s from %u chunk=%llu", node_id_, msg_type_name(m.hdr.type),
+               m.hdr.src_node, static_cast<unsigned long long>(m.hdr.chunk));
+    // Rendezvous control traffic is transport-internal: consume it here
+    // instead of delivering it to the runtime.
+    if (handle_rndz_msg(m)) continue;
+    dispatch_(std::move(m));
+  }
+  rx_work_.clear();
+  return true;
+}
+
+void CommLayer::progress_main() {
+  char tname[16];
+  std::snprintf(tname, sizeof tname, "net.%u", node_id_);
+  obs::register_current_thread(tname);
+  t_progress = this;
+  duty_.on_start();
+  for (;;) {
+    const uint32_t snap = bell_.snapshot();
+    // Ring first: it must be armed before anything here can post.
+    bool progressed = arm_recv_ring();
+    progressed |= dispatch_backlog();
     uint64_t due = 0;
     {
       std::unique_lock<std::mutex> lk(tx_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        // A posting thread is running the pass: waiting for it is idle time.
-        const uint64_t t0 = tx_duty_.park_begin();
-        lk.lock();
-        tx_duty_.park_end(t0);
-      }
-      progressed = tx_pass(/*inline_caller=*/false);
-      if (!progressed) {
-        // Completions may be held back by the latency model, and retries
-        // wait out their backoff window; neither rings the bell again, so
-        // bound the park by whichever is due first.
-        due = send_cq_.next_due_in();
-        const uint64_t rdue = retry_due_in(now_ns());
-        if (rdue < due) due = rdue;
-      }
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (progressed) continue;
-    // Parked without the Tx lock, so posting threads can run passes.
-    if (due == ~0ull) {
-      const uint64_t t0 = tx_duty_.park_begin();
-      tx_bell_.wait_change(snap);
-      tx_duty_.park_end(t0);
-    } else if (due > 0) {
-      if (due < 20'000) {
-        cpu_relax();
+      if (lk.owns_lock()) {
+        progressed |= tx_pass(/*inline_caller=*/false);
+        due = next_due_in();
       } else {
-        const uint64_t t0 = tx_duty_.park_begin();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(due));
-        tx_duty_.park_end(t0);
+        // A poster is running a pass, which never parks: try again soon,
+        // polling the ring meanwhile.
+        std::this_thread::yield();
+        progressed = true;
       }
-    }
-  }
-  tx_duty_.on_stop();
-}
-
-void CommLayer::rx_main() {
-  char tname[16];
-  std::snprintf(tname, sizeof tname, "rx.%u", node_id_);
-  obs::register_current_thread(tname);
-  t_comm_thread = true;
-  rdma::WorkCompletion wcs[32];
-  rx_duty_.on_start();
-  for (;;) {
-    const uint32_t snap = rx_bell_.snapshot();
-    bool progressed = false;
-    for (;;) {
-      const size_t n = recv_cq_.poll(wcs);
-      if (n == 0) break;
-      progressed = true;
-      for (size_t i = 0; i < n; ++i) {
-        const rdma::WorkCompletion& wc = wcs[i];
-        DARRAY_ASSERT(wc.opcode == rdma::Opcode::kRecv);
-        if (wc.status == rdma::WcStatus::kFlushError) {
-          // Our QP errored and flushed its recv ring. Park the buffer; it is
-          // reposted once the Tx side has reset the QP (reposting now would
-          // just flush again).
-          rdma::RecvWr rwr;
-          rwr.addr = reinterpret_cast<std::byte*>(wc.wr_id);
-          rwr.length = static_cast<uint32_t>(max_msg_bytes_);
-          rwr.lkey = recv_mr_.lkey;
-          rwr.wr_id = wc.wr_id;
-          parked_recvs_[wc.peer_node].push_back(rwr);
-          continue;
-        }
-        DARRAY_ASSERT(wc.status == rdma::WcStatus::kSuccess);
-        auto* bufp = reinterpret_cast<std::byte*>(wc.wr_id);
-        MsgHeader hdr;
-        std::memcpy(&hdr, bufp, sizeof(MsgHeader));
-        DARRAY_ASSERT(sizeof(MsgHeader) + hdr.payload_len == wc.byte_len);
-        rx_scratch_.clear();
-        if (hdr.type == MsgType::kBatch) {
-          // Coalesced SEND: unpack every frame (copying payloads out of the
-          // recv ring) so the buffer can be reposted before dispatch.
-          BatchReader r(bufp + sizeof(MsgHeader), hdr.payload_len, hdr.aux);
-          MsgHeader fh;
-          const std::byte* fp = nullptr;
-          while (r.next(fh, fp)) {
-            RpcMessage m;
-            m.hdr = fh;
-            if (fh.payload_len > 0) m.payload.assign(fp, fh.payload_len);
-            rx_scratch_.push_back(std::move(m));
-          }
-          DARRAY_ASSERT_MSG(r.valid(), "malformed coalesced batch image");
-        } else {
-          RpcMessage m;
-          m.hdr = hdr;
-          if (hdr.payload_len > 0) m.payload.assign(bufp + sizeof(MsgHeader), hdr.payload_len);
-          rx_scratch_.push_back(std::move(m));
-        }
-        // Repost the buffer to the QP it came from before dispatching.
-        rdma::QueuePair* qp = qp_by_num_[wc.qp_num];
-        rdma::RecvWr rwr;
-        rwr.addr = bufp;
-        rwr.length = static_cast<uint32_t>(max_msg_bytes_);
-        rwr.lkey = recv_mr_.lkey;
-        rwr.wr_id = wc.wr_id;
-        qp->post_recv(rwr);
-        for (RpcMessage& m : rx_scratch_) {
-          DLOG_DEBUG("node %u rx %s from %u chunk=%llu", node_id_,
-                     msg_type_name(m.hdr.type), m.hdr.src_node,
-                     static_cast<unsigned long long>(m.hdr.chunk));
-          // Rendezvous control traffic is transport-internal: consume it here
-          // instead of delivering it to the runtime.
-          if (handle_rndz_msg(m)) continue;
-          dispatch_(std::move(m));
-        }
-        rx_scratch_.clear();
-      }
-    }
-    // Re-arm parked recv buffers once their QP is back in RTS. A lost race
-    // (the QP errors again mid-repost) just parks them again via flush CQEs.
-    bool any_parked = false;
-    for (uint32_t peer = 0; peer < num_nodes_; ++peer) {
-      auto& parked = parked_recvs_[peer];
-      if (parked.empty()) continue;
-      rdma::QueuePair* qp = qp_to_peer_[peer];
-      if (qp->state() != rdma::QpState::kRts) {
-        any_parked = true;
-        continue;
-      }
-      for (const rdma::RecvWr& r : parked) qp->post_recv(r);
-      parked.clear();
-      progressed = true;
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    if (!progressed) {
-      uint64_t due = recv_cq_.next_due_in();
-      // Parked buffers wait on the Tx thread's QP reset, which rings no bell
-      // here — poll for it.
-      if (any_parked && due > 20'000) due = 20'000;
-      if (due == ~0ull) {
-        const uint64_t t0 = rx_duty_.park_begin();
-        rx_bell_.wait_change(snap);
-        rx_duty_.park_end(t0);
-      } else if (due > 0) {
-        // Latency model holdback. sleep_for has a scheduler-quantum floor far
-        // above microsecond-scale link latencies, so short waits busy-poll.
-        if (due < 20'000) {
-          cpu_relax();
-        } else {
-          const uint64_t t0 = rx_duty_.park_begin();
-          std::this_thread::sleep_for(std::chrono::nanoseconds(due));
-          rx_duty_.park_end(t0);
-        }
-      }
-    }
+    // A pass that waited on a peer's ring may have filled the backlog.
+    if (!progressed && rx_backlog_.empty()) park(snap, due);
   }
-  rx_duty_.on_stop();
+  duty_.on_stop();
 }
 
 }  // namespace darray::net

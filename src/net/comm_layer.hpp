@@ -1,35 +1,41 @@
 // The paper's communication layer (Fig. 2, §4.5): per node, an RDMA-request
 // queue drained by a Tx pass that posts work to the NIC with selective
-// signaling, and an Rx thread that polls the completion queue and delivers
-// parsed RPC messages to the runtime. Dedicated networking threads mean the
-// QP count is nodes² × 1, independent of the number of application/runtime
-// threads — the paper's n²·c (c = networking threads) instead of n²·t.
+// signaling, and one progress thread that polls the completion queues and
+// delivers parsed RPC messages to the runtime. The paper's separate Tx and Rx
+// threads are one polling progress engine here (DESIGN.md §6). The QP count
+// is nodes² × 1, independent of the number of application/runtime threads —
+// the paper's n²·c (c = networking threads) instead of n²·t.
 //
 // Who runs the Tx pass (docs/perf.md): post() enqueues, then runs the pass
 // itself when it can take the Tx lock without waiting, so an idle link costs
-// no thread hop. Otherwise it rings the Tx thread, which runs the pass under
-// the same lock. An inline pass never parks: it leaves to the Tx thread what
-// could block (an exhausted send arena), backoff-timed recovery and
-// rendezvous pulls/actions. All Tx-private state below is touched only under
-// the Tx lock. A runtime engine pass posts inside a DeferTx scope: its
-// requests are only queued, and go out in one pass after the engine lock is
-// released, so the two locks never nest.
+// no thread hop; otherwise it rings the progress thread. An inline pass never
+// parks: it leaves to the progress thread what could block (an exhausted
+// send arena), backoff-timed recovery and rendezvous pulls/actions. All
+// Tx-private state below is touched only under the Tx lock. A runtime engine
+// pass posts inside a DeferTx scope: its requests go out in one pass after
+// the engine lock is released, so the two locks never nest.
+//
+// The progress thread reposts each receive buffer before it dispatches, and
+// dispatches outside the Tx lock, so an engine pass a dispatch runs posts its
+// replies from this thread. It is the only thread that reposts its node's
+// receive ring, so it never waits on a peer's ring (the fabric's RNR retry
+// loop, an arena wait) without re-arming its own (arm_recv_ring); otherwise
+// two nodes waiting on each other's rings would both stall until RNR.
 //
 // Small-message engine (docs/perf.md): with cfg.coalesce_enabled the Tx
 // pass packs every protocol message it finds queued for the same peer into
 // one wire SEND (kBatch framing, bytes/frames/deadline cutoffs) and defers
 // posting so each pass rings each peer QP's doorbell once with a span of
 // work requests; with it off, every request is its own SEND, posted alone.
-// The Rx thread unpacks frames in place and dispatches each. Payloads ride in
-// pooled PayloadBufs, so the steady-state Tx/Rx path performs no heap
-// allocation.
+// The receiver unpacks frames and dispatches each. Payloads ride in pooled
+// PayloadBufs, so the steady-state Tx/Rx path performs no heap allocation.
 //
 // Large-message engine (docs/perf.md): payload-bearing requests at or above
 // cfg.rendezvous_threshold_bytes switch from the eager path to a rendezvous:
-// the Tx thread parks the request in a lease and sends a small kRndzReq
-// advertising the pinned source {addr, rkey, len}; the peer's Tx thread pulls
-// the bytes with one-sided RDMA READs (MTU-chunked, one signaled completion),
-// then dispatches the embedded notification and returns a piggybacked
+// the Tx pass parks the request in a lease and sends a small kRndzReq
+// advertising the pinned source {addr, rkey, len}; the peer pulls the bytes
+// with one-sided RDMA READs (MTU-chunked, one signaled completion), then
+// dispatches the embedded notification and returns a piggybacked
 // kRndzFin that releases the lease (fires the posted_flag). No send-arena
 // staging touches the payload on either side — the transfer is zero-copy end
 // to end. A failed pull (WC error after retry exhaustion, or no lease slot
@@ -37,10 +43,10 @@
 // rendezvous never loses a message — it only loses the zero-copy fast path.
 //
 // Fault recovery (see docs/chaos.md): a completion-with-error moves the QP to
-// ERROR and the Tx thread becomes the recovery driver for that peer. The
-// fabric never half-executes a WR — an error status means no bytes moved — so
-// re-posting is exactly-once. Ordering is preserved end to end: the error
-// flushes everything behind the failed WR, the Tx thread collects failed and
+// ERROR and the progress thread drives that peer's recovery. The fabric never
+// half-executes a WR — an error status means no bytes moved — so re-posting
+// is exactly-once. Ordering is preserved end to end: the error
+// flushes everything behind the failed WR, the Tx pass collects failed and
 // flushed requests into a per-peer retry queue in original order, stages any
 // new requests for that peer behind them, and after a bounded-exponential
 // backoff resets the QP and replays the queue front to back. A coalesced
@@ -82,9 +88,10 @@ struct CommError {
 
 class CommLayer {
  public:
-  // `dispatch` is invoked on a comm thread for every inbound message — the Rx
-  // thread normally, the Tx thread for notifications embedded in a completed
-  // rendezvous pull; it must only route (push to a runtime queue), never block.
+  // `dispatch` is invoked on the progress thread for every inbound message
+  // (notifications embedded in a completed rendezvous pull included), outside
+  // the Tx lock. It may post (an engine pass's replies go out from there) but
+  // must never block.
   using DispatchFn = std::function<void(RpcMessage&&)>;
   // Invoked from the Tx pass when a request is abandoned (retry budget or
   // deadline exhausted, or an untracked WR failed). The handler must not
@@ -118,7 +125,7 @@ class CommLayer {
 
   // While one is live on a thread, that thread's post() calls only enqueue;
   // its destructor then runs one Tx pass for them (inline when the Tx lock is
-  // free, else by ringing the Tx thread). Not reentrant.
+  // free, else by ringing the progress thread). Not reentrant.
   class DeferTx {
    public:
     DeferTx();
@@ -126,10 +133,6 @@ class CommLayer {
     DeferTx(const DeferTx&) = delete;
     DeferTx& operator=(const DeferTx&) = delete;
   };
-
-  // True on the Tx thread. Its dispatches run under the Tx lock, so they must
-  // not enter a runtime engine pass (lock order: engine, then Tx).
-  static bool on_tx_thread();
 
   size_t max_msg_bytes() const { return max_msg_bytes_; }
 
@@ -157,7 +160,7 @@ class CommLayer {
   }
 
   // Who ran the Tx pass (any thread may sample): passes run inline by a
-  // posting thread, and those that left work to the Tx thread.
+  // posting thread, and those that left work to the progress thread.
   struct TxPassStats {
     uint64_t inline_passes = 0;
     uint64_t handoffs = 0;
@@ -193,14 +196,13 @@ class CommLayer {
     return total;
   }
 
-  // Busy/idle duty cycle of the comm threads (obs; any thread may sample).
-  const obs::DutyCycle& tx_duty() const { return tx_duty_; }
-  const obs::DutyCycle& rx_duty() const { return rx_duty_; }
+  // Busy/idle duty cycle of the progress thread (obs; any thread may sample).
+  const obs::DutyCycle& duty() const { return duty_; }
 
  private:
   static constexpr uint32_t kNoBuf = ~0u;
 
-  // One posted (or to-be-posted) WR the Tx thread may have to replay. SENDs
+  // One posted (or to-be-posted) WR the Tx pass may have to replay. SENDs
   // always reference a send-arena buffer (a coalesced batch is one entry
   // covering `frames` protocol messages); WRITEs do too in chaos mode (the
   // payload is staged so the source cacheline can be recycled immediately),
@@ -272,19 +274,22 @@ class CommLayer {
   // pinned until the peer's kRndzFin (or a NAK reverts it to eager). The
   // lease id on the wire is (generation << 16) | slot so a stale FIN/ACK that
   // raced a fallback cannot release a recycled slot. Guarded by lease_mu_
-  // (taken by the Tx thread to start and the Rx thread to release — both are
-  // O(1) critical sections on a path already costing a network round trip).
+  // (taken by a Tx pass to start and the progress thread's dispatch to
+  // release — both are O(1) critical sections on a path already costing a
+  // network round trip).
   struct RndzLease {
     TxRequest req;
     uint32_t gen = 0;
     bool active = false;
   };
 
-  // Receiver side: a parsed kRndzReq handed from the Rx thread to the Tx
-  // thread (only the Tx thread may post, and the pull is a batch of READ
-  // WRs). `inner` is the embedded notification dispatched once the pull's
-  // signaled completion retires.
-  struct RndzJob {
+  // Receiver side: the pull a kRndzReq asks for. Dispatch parses it outside
+  // the Tx lock and may not wait for that lock (an inline poster can hold
+  // it), so it waits in rndz_jobs_ for the progress thread's next full pass.
+  // That pass posts its READ chunks and keeps it in rndz_pulls_, keyed by a
+  // Tx-local id each chunk's Outstanding carries, until the signaled
+  // completion retires; then `inner` is dispatched and the FIN sent.
+  struct RndzPull {
     RndzDesc desc;
     uint16_t src = 0;     // sender node (where FIN/NAK goes)
     uint64_t trace = 0;
@@ -292,30 +297,24 @@ class CommLayer {
     PayloadBuf inner_payload;
   };
 
-  // Receiver side, Tx-private: an in-flight pull (READ chunks posted, FIN not
-  // yet sent). Keyed by a Tx-local id carried in each chunk's Outstanding so
-  // chunk retirement/failure can find its pull.
-  struct RndzPull {
-    uint16_t src = 0;
-    uint32_t lease_id = 0;
-    uint32_t len = 0;
-    uint64_t trace = 0;
-    MsgHeader inner_hdr;
-    PayloadBuf inner_payload;
-  };
-
-  // Profile anchors: keep the drain loops out of the std::thread lambdas so
-  // sampled stacks name them (docs/observability.md v5).
-  DARRAY_PROFILE_ANCHOR void tx_main();
-  DARRAY_PROFILE_ANCHOR void rx_main();
-  // Run a Tx pass for what is queued when the Tx lock is free and this thread
-  // may post (not a comm thread, between start() and stop()); else ring the
-  // Tx thread.
+  // Profile anchor: keeps the progress loop out of the std::thread lambda so
+  // sampled stacks name it (docs/observability.md v5).
+  DARRAY_PROFILE_ANCHOR void progress_main();
+  // Progress thread: poll the recv CQ, copy each message into rx_backlog_,
+  // repost its buffer, and re-arm buffers parked by a QP error once the QP
+  // is back in RTS. Never dispatches or posts, so it is safe in any wait.
+  bool arm_recv_ring();
+  bool dispatch_backlog();  // progress thread, outside the Tx lock
+  // Progress thread: park until the doorbell rings or `due` ns pass.
+  void park(uint32_t snap, uint64_t due);
+  uint64_t next_due_in() const;  // earliest CQ holdback or retry; caller holds tx_mu_
+  // Run a Tx pass for what is queued when the Tx lock is free (between
+  // start() and stop()); else ring the progress thread.
   void run_or_ring();
-  // One Tx pass: stage everything queued, flush, retire completions, and (Tx
-  // thread only) drive recovery and rendezvous. Caller holds tx_mu_. Returns
-  // whether it made progress. An inline pass (run by a posting thread) never
-  // parks and rings the Tx thread for whatever it leaves.
+  // One Tx pass: stage everything queued, flush, retire completions, and
+  // (progress thread only) drive recovery and rendezvous. Caller holds
+  // tx_mu_. Returns whether it made progress. An inline pass never parks and
+  // rings the progress thread for whatever it leaves.
   DARRAY_PROFILE_ANCHOR bool tx_pass(bool inline_caller);
   // Peer QP in ERROR, or failed/staged work waiting for its replay.
   bool recovering(uint32_t peer) const;
@@ -345,27 +344,28 @@ class CommLayer {
   void post_entry(uint32_t peer, Outstanding e);
   // Rendezvous: sender-side negotiation start. Returns false (leaving `req`
   // intact) when no lease slot is free — the caller falls back to eager.
-  bool start_rndz(TxRequest& req, uint64_t now);
+  bool start_rndz(TxRequest& req);
   // Rendezvous: release lease `id`; returns the parked request if the id was
   // current. `completed` distinguishes FIN (fire flag, count bytes) from NAK.
   void finish_lease(uint32_t id, bool completed);
-  // Rendezvous: receiver side (Tx thread). start_pull posts the READ chunks;
-  // process_rndz_actions handles completed pulls (dispatch + FIN) and failed
-  // ones (NAK) — deferred so they never run nested inside a flush.
-  void start_pull(RndzJob&& job, uint64_t now);
-  bool process_rndz_actions(uint64_t now);
+  // Rendezvous: receiver side (progress thread). start_pull posts the READ
+  // chunks; process_rndz_actions handles completed pulls (queue the
+  // notification for dispatch + FIN) and failed ones (NAK) — deferred so they
+  // never run nested inside a flush.
+  void start_pull(RndzPull&& job, uint64_t now);
+  bool process_rndz_actions();
   void send_ctl(uint16_t dst, MsgType type, uint32_t lease_id, uint64_t trace);
-  // Rx-thread intercept for transport-internal rendezvous messages; returns
-  // true when the message was consumed (not for the runtime).
+  // Dispatch-time intercept for transport-internal rendezvous messages;
+  // returns true when the message was consumed (not for the runtime).
   bool handle_rndz_msg(RpcMessage& m);
   void reclaim_send_buffers();
   void handle_error_cqe(const rdma::WorkCompletion& wc);
-  void pump_retries(uint64_t now);
+  bool pump_retries(uint64_t now);  // returns whether it reset a QP
   void fail_entry(uint32_t peer, Outstanding& e, const char* reason);
   void fail(const CommError& err);
   uint64_t retry_due_in(uint64_t now) const;
   uint64_t backoff_ns(uint32_t attempts) const;
-  uint32_t acquire_send_buffer();  // Tx thread: parks on the Tx doorbell when exhausted
+  uint32_t acquire_send_buffer();  // only the progress thread may wait for one
   uint32_t stage_send_msg(TxRequest& req);  // copy header+payload into a buffer
   void release_buf(uint32_t buf) {
     if (buf != kNoBuf) send_free_.push_back(buf);
@@ -382,17 +382,18 @@ class CommLayer {
   ErrorFn error_fn_;
   const size_t max_msg_bytes_;
 
-  Doorbell tx_bell_;
-  Doorbell rx_bell_;
-  rdma::CompletionQueue send_cq_{&tx_bell_};
-  rdma::CompletionQueue recv_cq_{&rx_bell_};
-  // Pushed by post(), which rings tx_bell_ itself only when it does not run
+  // The progress thread's doorbell: both CQs ring it, and so does a poster
+  // that leaves it work.
+  Doorbell bell_;
+  rdma::CompletionQueue send_cq_{&bell_};
+  rdma::CompletionQueue recv_cq_{&bell_};
+  // Pushed by post(), which rings bell_ itself only when it does not run
   // the pass inline.
   MpscQueue<TxRequest> tx_queue_;
-  // The Tx lock: held for every Tx pass, by the Tx thread or an inline
-  // poster; it guards tx_queue_'s consumer side, send_cq_ polling and every
-  // Tx-private field below. The Tx thread also holds it across an
-  // arena-exhaustion wait inside its pass, but never while parked idle.
+  // The Tx lock: held for every Tx pass; it guards tx_queue_'s consumer side,
+  // send_cq_ polling and every Tx-private field below. The progress thread
+  // only try_locks it, and holds it across an arena wait inside its pass,
+  // never while parked idle.
   std::mutex tx_mu_;
   std::atomic<bool> inline_ok_{false};  // between start() and stop()
   std::atomic<uint64_t> inline_passes_{0}, handoffs_{0};
@@ -415,20 +416,22 @@ class CommLayer {
   bool chaos_ = false;     // fabric has a fault injector (latched at start())
   bool in_flush_ = false;  // Tx-private: guards acquire→flush reentrancy
 
-  // Recv-side buffers: preposted per QP, reposted by Rx after parsing.
-  // Buffers flushed by a QP error are parked (Rx-private) until the Tx side
-  // resets the QP, then reposted.
+  // Recv-side buffers (progress-private): preposted per QP, reposted once
+  // their message is copied out. Buffers flushed by a QP error are parked
+  // until the Tx pass resets the QP, then reposted.
   std::unique_ptr<std::byte[]> recv_arena_;
   rdma::MemoryRegion recv_mr_;
-  std::vector<std::vector<rdma::RecvWr>> parked_recvs_;  // per peer, Rx-private
-  std::vector<RpcMessage> rx_scratch_;                   // Rx-private
+  std::vector<std::vector<rdma::RecvWr>> parked_recvs_;  // per peer
+  // Copied-out messages awaiting dispatch; arm_recv_ring may append while
+  // dispatch_backlog walks rx_work_.
+  std::vector<RpcMessage> rx_backlog_, rx_work_;
 
   std::atomic<uint64_t> dropped_requests_{0};
 
   // --- rendezvous state (see struct comments above) ---------------------------
   std::mutex lease_mu_;
   std::vector<RndzLease> leases_;                    // fixed size, cfg-bounded
-  MpscQueue<RndzJob> rndz_jobs_{&tx_bell_};          // Rx → Tx pull handoff
+  std::vector<RndzPull> rndz_jobs_;                  // progress-private
   std::unordered_map<uint32_t, RndzPull> rndz_pulls_;  // Tx-private, in-flight
   uint32_t next_rndz_id_ = 1;                        // Tx-private
   std::vector<uint32_t> rndz_done_;                  // Tx-private, deferred
@@ -447,11 +450,9 @@ class CommLayer {
   };
   std::unique_ptr<PeerTxCounters[]> peer_tx_;
 
-  obs::DutyCycle tx_duty_;
-  obs::DutyCycle rx_duty_;
+  obs::DutyCycle duty_;
 
-  std::thread tx_thread_;
-  std::thread rx_thread_;
+  std::thread progress_thread_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
 };

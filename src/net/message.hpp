@@ -6,13 +6,13 @@
 // notification, as in the paper (§4.5). Payloads carry combined Operate
 // operands and nothing else.
 //
-// Coalesced wire format (docs/perf.md): when the Tx thread packs several
+// Coalesced wire format (docs/perf.md): when the Tx pass packs several
 // protocol messages for the same peer into one SEND, the wire image is
 //   [MsgHeader type=kBatch, aux=frame count, payload_len=frame bytes]
 //   [frame 0][frame 1]...
 // where each frame is itself [MsgHeader][payload]. A batch of one frame is
 // sent bare (no kBatch envelope), so singletons are byte-identical to the
-// uncoalesced format. kBatch never reaches the runtime: the Rx thread
+// uncoalesced format. kBatch never reaches the runtime: the progress thread
 // unpacks frames and dispatches each as its own RpcMessage.
 #pragma once
 
@@ -115,7 +115,7 @@ struct RpcMessage {
   PayloadBuf payload;
 };
 
-// An outbound request handed from a runtime thread to the Tx thread: an
+// An outbound request handed from a runtime thread to the Tx pass: an
 // optional one-sided data WRITE followed (FIFO on the same QP) by the
 // two-sided header+payload SEND.
 struct TxRequest {
@@ -130,7 +130,7 @@ struct TxRequest {
   uint64_t data_remote_addr = 0;
   uint32_t data_rkey = 0;
 
-  // Optional release hook: set to 1 by the Tx thread once the data WRITE has
+  // Optional release hook: set to 1 by the Tx pass once the data WRITE has
   // been posted (payload copied), letting the runtime recycle the source
   // cacheline without a protocol-level ack. Rendezvous defers the release to
   // the kRndzFin (the source stays pinned until the peer's READs complete).

@@ -2,7 +2,7 @@
 // callers issue blocking WRITE/READ from application threads (serialised per
 // source node). This is the MPI-RMA-style substrate the Gemini-like baseline
 // engine exchanges its bulk updates over — deliberately simpler than the
-// DArray comm layer (no Tx/Rx threads, no selective signaling).
+// DArray comm layer (no progress thread, no selective signaling).
 #pragma once
 
 #include <memory>

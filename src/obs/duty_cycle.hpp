@@ -1,13 +1,14 @@
 // Busy/idle duty-cycle sampling for the long-lived service threads (runtime
-// engine loop, comm-layer Tx/Rx). The owning thread brackets every blocking
-// park with park_begin()/park_end(); everything else counts as busy. Under
-// full load the thread never parks, so the instrumented path costs nothing;
-// per park the cost is two clock reads and two relaxed adds — noise next to
-// a futex wait or sleep.
+// engine loop, comm-layer progress thread). The owning thread brackets every
+// blocking park with park_begin()/park_end(); everything else counts as busy.
+// Under full load the thread never parks, so the instrumented path costs
+// nothing; per park the cost is two clock reads and a few atomic stores —
+// noise next to a futex wait or sleep.
 //
-// Single-writer (the owning thread); any thread may sample() concurrently
-// and gets a consistent-enough reading for reporting (each field read once,
-// relaxed — the skew is one in-progress park at most).
+// Single-writer (the owning thread); any thread may sample() concurrently.
+// A park in progress counts as idle up to the sample, so a mostly parked
+// thread reads idle inside every stats window, not only in the one where its
+// park ends. Samples never run backwards.
 #pragma once
 
 #include <atomic>
@@ -47,13 +48,18 @@ class DutyCycle {
   void on_stop() { stop_ns_.store(now_ns(), std::memory_order_relaxed); }
 
   // Owning thread, around each blocking wait.
-  uint64_t park_begin() const {
+  uint64_t park_begin() {
     set_prof_phase(ProfPhase::kIdle);
-    return now_ns();
+    const uint64_t t0 = now_ns();
+    park_ns_.store(t0, std::memory_order_release);
+    return t0;
   }
   void park_end(uint64_t t0) {
     set_prof_phase(ProfPhase::kBusy);
-    idle_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    // Close the park before booking it, so a sampler that sees the booked
+    // idle also sees the park closed (see sample()).
+    park_ns_.store(0, std::memory_order_release);
+    idle_ns_.fetch_add(now_ns() - t0, std::memory_order_release);
     parks_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -65,7 +71,21 @@ class DutyCycle {
     const uint64_t stop = stop_ns_.load(std::memory_order_relaxed);
     const uint64_t end = stop != 0 ? stop : now_ns();
     const uint64_t wall = end > start ? end - start : 0;
-    s.idle_ns = idle_ns_.load(std::memory_order_relaxed);
+    // Booked idle plus the open park, read as one pair: retry when a park
+    // opened or closed between the two loads.
+    uint64_t open = 0, idle = 0;
+    do {
+      open = park_ns_.load(std::memory_order_acquire);
+      idle = idle_ns_.load(std::memory_order_acquire);
+    } while (open != park_ns_.load(std::memory_order_acquire));
+    if (open != 0 && end > open) idle += end - open;
+    // The owner's clock read that books a park can precede this sample's, so
+    // clamp to the largest idle reported so far.
+    uint64_t prev = reported_idle_ns_.load(std::memory_order_relaxed);
+    while (prev < idle &&
+           !reported_idle_ns_.compare_exchange_weak(prev, idle, std::memory_order_relaxed)) {
+    }
+    s.idle_ns = idle > prev ? idle : prev;
     s.busy_ns = wall > s.idle_ns ? wall - s.idle_ns : 0;
     s.parks = parks_.load(std::memory_order_relaxed);
     return s;
@@ -75,7 +95,9 @@ class DutyCycle {
   std::atomic<uint64_t> start_ns_{0};
   std::atomic<uint64_t> stop_ns_{0};
   std::atomic<uint64_t> idle_ns_{0};
+  std::atomic<uint64_t> park_ns_{0};  // start of the open park; 0 when none
   std::atomic<uint64_t> parks_{0};
+  mutable std::atomic<uint64_t> reported_idle_ns_{0};
 };
 
 }  // namespace darray::obs

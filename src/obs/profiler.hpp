@@ -21,7 +21,7 @@
 // Symbolization is deliberately not done at sample time: collection stores
 // raw PCs. dump_profile() writes raw PCs plus a copy of /proc/self/maps and
 // a dladdr-resolved symbol table (computed at dump time, outside any signal
-// context); tools/darray_prof and `darray-trace --profile` turn the dump
+// context); `darray-trace --profile` turns the dump
 // into top-N tables, flamegraph-collapsed folded stacks, and Perfetto
 // sampling tracks without touching the live process.
 #pragma once

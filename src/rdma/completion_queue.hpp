@@ -1,5 +1,7 @@
-// Completion queue for the simulated fabric. Producers are remote posting
-// threads; the consumer is the single Tx or Rx thread that owns the CQ.
+// Completion queue for the simulated fabric. Producers are posting threads;
+// there is one consumer at a time: a node's recv CQ is polled only by its
+// comm layer's progress thread, its send CQ only under the comm layer's Tx
+// lock.
 // Entries carrying a future deliver_at_ns deadline are held back on the
 // consumer side, which is how the fabric injects link latency without
 // blocking the poster.
@@ -26,7 +28,8 @@ namespace darray::rdma {
 class CompletionQueue {
  public:
   // The CQ rings `bell` on every push; pass the consumer thread's doorbell so
-  // one thread can park on several queues at once. Defaults to a private bell.
+  // one thread can park on several queues at once (a comm layer's send and
+  // recv CQs share its progress thread's bell). Defaults to a private bell.
   explicit CompletionQueue(Doorbell* bell = nullptr)
       : bell_(bell ? bell : &own_bell_), queue_(bell_) {}
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <shared_mutex>
 #include <unordered_map>
 
@@ -28,11 +29,21 @@ class Device {
   // Validate a local SGE against its lkey (posting-side check).
   bool validate_local(const Sge& sge) const;
 
+  // Run by a poster on this device while it waits for a peer (the RNR retry
+  // loop). The owner of this node's receive rings uses it to keep them armed,
+  // so two nodes that wait on each other's rings both make progress. Set
+  // before any QP on this device posts; the hook itself must only poll.
+  void set_wait_hook(std::function<void()> hook) { wait_hook_ = std::move(hook); }
+  void on_wait() const {
+    if (wait_hook_) wait_hook_();
+  }
+
  private:
   const uint32_t node_id_;
   mutable std::shared_mutex mu_;  // registration is rare; lookups are frequent
   uint32_t next_key_ = 1;
   std::unordered_map<uint32_t, MemoryRegion> mrs_;  // keyed by lkey (== rkey here)
+  std::function<void()> wait_hook_;
 };
 
 }  // namespace darray::rdma

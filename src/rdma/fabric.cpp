@@ -175,8 +175,8 @@ void QueuePair::set_error() {
   if (!state_.compare_exchange_strong(expected, QpState::kError,
                                       std::memory_order_acq_rel))
     return;  // already in ERROR
-  // Flush outstanding RECVs with kFlushError. The peer's Tx thread is the
-  // normal consumer of posted_recvs_, so serialise with it via recv_mu_.
+  // Flush outstanding RECVs with kFlushError. The peer's posting threads are
+  // the normal consumers of posted_recvs_, so serialise with them via recv_mu_.
   // (A recv posted concurrently with the transition may survive in the queue;
   // it simply remains posted after reset, as with real HW timing windows.)
   std::scoped_lock lk(recv_mu_);
@@ -283,8 +283,8 @@ bool QueuePair::post_send(const SendWr& wr) {
             }
           }
           if (delivered) break;
-          // No fast-exit while the peer QP sits in ERROR: the peer's Tx
-          // thread resets it within its backoff cap and its Rx re-arms the
+          // No fast-exit while the peer QP sits in ERROR: the peer's
+          // progress thread resets it within its backoff cap and re-arms the
           // ring right after, both far inside the budget. Exiting early
           // instead livelocks two mutually-recovering peers, each erroring
           // the other's replays while it is itself mid-backoff.
@@ -293,8 +293,10 @@ bool QueuePair::post_send(const SendWr& wr) {
             status = WcStatus::kRnrError;
             break;
           }
+          // The peer may be waiting on our ring in the same way.
+          device_->on_wait();
           // Spin briefly for the common re-arm-in-microseconds case, then
-          // yield: the receiver's Rx thread needs the core to repost.
+          // yield: the receiver's progress thread needs the core to repost.
           if (now_ns() - now < 50'000)
             cpu_relax();
           else

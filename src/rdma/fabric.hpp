@@ -27,8 +27,8 @@ struct FabricConfig {
   // ring before completing with kRnrError (models the RC transport's
   // rnr_retry timer; exhaustion errors the QP, as real RC does). Must exceed
   // the comm layer's backoff cap — during recovery the receiver re-arms only
-  // after its Tx thread's next backoff expiry — and leave slack for OS
-  // descheduling of the receiver's Rx thread on oversubscribed hosts.
+  // after its next backoff expiry — and leave slack for OS descheduling of
+  // the receiver's progress thread on oversubscribed hosts.
   uint64_t rnr_retry_budget_ns = 100'000'000;
 };
 

@@ -21,8 +21,8 @@ struct CacheLine {
   ArrayId array = 0;
   ChunkId chunk = 0;
   bool used = false;
-  // 0 while an eviction's one-sided WRITE is still queued toward the Tx
-  // thread; the slot may not be recycled until the Tx thread sets it to 1.
+  // 0 while an eviction's one-sided WRITE is still queued for a Tx pass; the
+  // slot may not be recycled until the pass sets it to 1.
   std::atomic<uint32_t> tx_posted{1};
 };
 

@@ -42,8 +42,8 @@ Cluster::Cluster(ClusterConfig cfg)
     rdma::Device* dev = fabric_.create_device(i);
     nodes_.push_back(std::make_unique<NodeRuntime>(this, i, dev, cfg_));
   }
-  // Full-mesh RC connections, one QP pair per ordered node pair (Tx/Rx thread
-  // design: QP count independent of application thread count — §4.5).
+  // Full-mesh RC connections, one QP pair per ordered node pair (networking
+  // thread design: QP count independent of application thread count — §4.5).
   for (NodeId a = 0; a < cfg_.num_nodes; ++a) {
     for (NodeId b = a + 1; b < cfg_.num_nodes; ++b) {
       net::CommLayer& ca = nodes_[a]->comm();
@@ -253,7 +253,7 @@ void Cluster::register_default_stats_sources() {
   });
   // Who ran the passes (docs/perf.md). Tx: passes run inline by posting
   // threads, and how many of them left work (arena, recovery, rendezvous) to
-  // the Tx thread. Runtime: submissions whose thread ran the engine pass
+  // the progress thread. Runtime: submissions whose thread ran the engine pass
   // itself, and those left to another thread's pass.
   stats_registry_.add_source([this](obs::StatsSnapshot& s) {
     net::CommLayer::TxPassStats total;
@@ -360,11 +360,10 @@ void Cluster::register_default_stats_sources() {
   });
   // Thread duty cycles: how busy the service threads actually are.
   stats_registry_.add_source([this](obs::StatsSnapshot& s) {
-    obs::DutyStats rt, tx, rx;
+    obs::DutyStats rt, rx;
     for (const auto& n : nodes_) {
       rt += n->runtime_duty();
-      tx += n->comm().tx_duty().sample();
-      rx += n->comm().rx_duty().sample();
+      rx += n->comm().duty().sample();  // the progress thread
     }
     auto emit = [&s](const char* prefix, const obs::DutyStats& d) {
       s.add(std::string(prefix) + ".busy_ns", d.busy_ns);
@@ -372,7 +371,6 @@ void Cluster::register_default_stats_sources() {
       s.add(std::string(prefix) + ".parks", d.parks);
     };
     emit("duty.runtime", rt);
-    emit("duty.tx", tx);
     emit("duty.rx", rx);
   });
   stats_registry_.add_source([this](obs::StatsSnapshot& s) {

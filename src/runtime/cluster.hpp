@@ -109,10 +109,10 @@ class Cluster {
   }
 
   // Unrecoverable comm failures (retry/deadline budget exhausted) land here,
-  // on the failing node's Tx thread. Default: log + abort (fail-stop) — the
-  // coherence protocol cannot survive a dropped message. Override before
-  // traffic for tests/harnesses that expect losses. The handler must not
-  // block.
+  // on the thread running the failing node's Tx pass. Default: log + abort
+  // (fail-stop) — the coherence protocol cannot survive a dropped message.
+  // Override before traffic for tests/harnesses that expect losses. The
+  // handler must not block.
   using CommErrorFn = std::function<void(uint32_t node, const net::CommError&)>;
   void set_comm_error_handler(CommErrorFn fn) { comm_error_fn_ = std::move(fn); }
   void handle_comm_error(uint32_t node, const net::CommError& err);

@@ -1,7 +1,7 @@
 // Per-node mailbox for reduction-tree partials (src/compute collectives).
 //
 // A collective's partial results travel as kReducePart protocol messages; the
-// Rx thread routes each to a runtime thread by hdr.chunk (the collective
+// progress thread routes each to a runtime thread by hdr.chunk (the collective
 // sequence number), which deposits it here. Application threads block in
 // await() until the matching part lands. One board per node: runtime threads
 // are producers, the node's collective caller is the consumer, and the

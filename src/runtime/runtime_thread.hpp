@@ -8,10 +8,10 @@
 // otherwise it rings this thread, which runs the same pass under the same
 // lock and parks without it. Threads that must not run a pass only enqueue
 // and ring: one already inside an engine pass (the engine's own read-ahead
-// submits mid-pass), the Tx thread (its dispatches run under the Tx lock),
-// and anyone before start() or once stop() has begun. Every pass runs inside
-// a CommLayer::DeferTx scope: the engine's sends are queued and posted after
-// the engine lock is released, so it is never held across a fabric post.
+// submits mid-pass), and anyone before start() or once stop() has begun.
+// Every pass runs inside a CommLayer::DeferTx scope: the engine's sends are
+// queued and posted after the engine lock is released, so it is never held
+// across a fabric post.
 #pragma once
 
 #include <atomic>
@@ -62,7 +62,7 @@ class RuntimeThread {
     run_or_ring();
   }
 
-  // Rx thread (Fig. 2 RPC-msg queue).
+  // The comm layer's progress thread (Fig. 2 RPC-msg queue).
   void submit_rpc(net::RpcMessage m) {
     rpc_q_.push(std::move(m));
     run_or_ring();
@@ -85,8 +85,7 @@ class RuntimeThread {
   // The submitter's half of the design above. A pass it runs covers what was
   // queued when it began; it rings this thread for anything left.
   void run_or_ring() {
-    if (!t_in_pass && !net::CommLayer::on_tx_thread() &&
-        inline_ok_.load(std::memory_order_acquire)) {
+    if (!t_in_pass && inline_ok_.load(std::memory_order_acquire)) {
       net::CommLayer::DeferTx defer;  // outlives the lock: posts after unlock
       std::unique_lock<std::mutex> lk(engine_mu_, std::try_to_lock);
       if (lk.owns_lock()) {

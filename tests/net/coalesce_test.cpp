@@ -124,7 +124,10 @@ TEST(BatchFraming, PackUnpackRoundTrip) {
     EXPECT_EQ(fh.type, hdrs[static_cast<size_t>(i)].type);
     EXPECT_EQ(fh.chunk, hdrs[static_cast<size_t>(i)].chunk);
     ASSERT_EQ(fh.payload_len, payloads[static_cast<size_t>(i)].size());
-    EXPECT_EQ(std::memcmp(fp, payloads[static_cast<size_t>(i)].data(), fh.payload_len), 0);
+    // memcmp with a null pointer is undefined even for length 0.
+    if (fh.payload_len > 0) {
+      EXPECT_EQ(std::memcmp(fp, payloads[static_cast<size_t>(i)].data(), fh.payload_len), 0);
+    }
     ++i;
   }
   EXPECT_EQ(i, kFrames);

@@ -362,9 +362,17 @@ void chaos_rendezvous_round_trip(uint64_t seed) {
   }
   EXPECT_EQ(next_small, static_cast<uint64_t>(kRounds * kSmallPerRound));
   EXPECT_EQ(next_bulk, static_cast<uint64_t>(1000 + kRounds));
-  const auto rs = h.c0->rndz_stats();
   // Sequential rounds never exhaust the lease table, so every fallback is a
-  // NAK and every started rendezvous has resolved by now (FIN or NAK).
+  // NAK and every started rendezvous resolves (FIN or NAK). finish_lease
+  // releases the source before it counts the completion, so the last round's
+  // count can trail its release flag: wait for it, bounded.
+  const auto resolved = [&h] {
+    const auto r = h.c0->rndz_stats();
+    return r.completed + r.fallbacks >= r.started;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!resolved() && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+  const auto rs = h.c0->rndz_stats();
   EXPECT_EQ(rs.started, rs.completed + rs.fallbacks) << "seed " << seed;
   EXPECT_EQ(h.c0->dropped_requests(), 0u);
   EXPECT_EQ(h.c1->dropped_requests(), 0u);

@@ -158,8 +158,9 @@ TEST(CommLayerRetry, InlineAndQueuedPostsKeepPerPeerFifo) {
 
 // An inline post that the send arena cannot cover returns at once instead of
 // parking for buffers: every staged WRITE holds its buffer until a completion
-// delayed by 200 ms. The Tx thread stages and delivers what the posts left.
-TEST(CommLayerRetry, InlinePostOnExhaustedArenaHandsOffToTxThread) {
+// delayed by 200 ms. The progress thread stages and delivers what the posts
+// left.
+TEST(CommLayerRetry, InlinePostOnExhaustedArenaHandsOffToProgressThread) {
   chaos::FaultPlan slow;
   slow.p_delay = 1.0;
   slow.delay_min_ns = 100'000'000;
@@ -198,7 +199,7 @@ TEST(CommLayerRetry, InlinePostOnExhaustedArenaHandsOffToTxThread) {
     slowest_post_ns = std::max(slowest_post_ns, now_ns() - t0);
     if (r == 0) {
       // Whether request 0's post ran the pass or found it taken, an inline
-      // pass that saw it must have left it to the Tx thread.
+      // pass that saw it must have left it to the progress thread.
       const CommLayer::TxPassStats s = h.c0->tx_pass_stats();
       EXPECT_EQ(s.handoffs, s.inline_passes);
     }

@@ -67,6 +67,32 @@ TEST(DutyCycle, BusyOnlyThreadReportsFullDuty) {
   EXPECT_EQ(s.busy_fraction(), 1.0);
 }
 
+// A park still in progress counts as idle up to the sample, so a mostly
+// parked thread reads idle in every stats window, not only when it wakes.
+TEST(DutyCycle, SampleCountsParkInProgress) {
+  DutyCycle d;
+  std::atomic<bool> parked{false}, release{false};
+  std::thread owner([&] {
+    d.on_start();
+    const uint64_t t0 = d.park_begin();
+    parked.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    d.park_end(t0);
+    d.on_stop();
+  });
+  while (!parked.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const DutyStats s = d.sample();
+  release.store(true, std::memory_order_release);
+  owner.join();
+  EXPECT_GE(s.idle_ns, 40'000'000u);
+  EXPECT_EQ(s.parks, 0u);  // the park is counted once it ends
+  const DutyStats fin = d.sample();
+  EXPECT_GE(fin.idle_ns, s.idle_ns);
+  EXPECT_EQ(fin.parks, 1u);
+}
+
 // The single-writer / many-sampler contract: one thread parks and unparks in
 // a tight loop while samplers hammer sample(). Checked properties: parks
 // never runs backwards across samples, idle never exceeds the wall clock by

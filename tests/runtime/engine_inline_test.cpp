@@ -1,9 +1,10 @@
 // Run-to-completion engine: a thread that submits a request runs the engine
 // pass itself when the engine lock is free (runtime_thread.hpp). These tests
-// race application, Rx and runtime threads for one engine's lock and check
-// what the protocol promises regardless of which thread wins: per-chunk FIFO
-// of RPCs, read-ahead submitted from inside a pass, and lock mutual exclusion
-// with FIFO grants. No assertion depends on which thread ran a pass.
+// race application, progress and runtime threads for one engine's lock and
+// check what the protocol promises regardless of which thread wins:
+// per-chunk FIFO of RPCs, read-ahead submitted from inside a pass, and lock
+// mutual exclusion with FIFO grants. No assertion depends on which thread ran
+// a pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -61,7 +62,7 @@ void watch(const char* what, const std::atomic<uint64_t>& progress, Done&& done)
 // sequence number; node 0's sink sees them inside engine passes, on whichever
 // thread won the lock. Meanwhile node 0's application threads take misses and
 // locks through the same engines, and node 1 writes node-0 chunks so node 0's
-// Rx thread delivers protocol requests too. Every key's sequence must arrive
+// progress thread delivers protocol requests too. Every key's sequence must arrive
 // in order and complete, and the array must end with the written values.
 TEST(EngineInline, RpcFifoPerChunkWhileThreadsRaceForTheLock) {
   for (const uint64_t seed : {1ull, 7ull, 42ull}) {

@@ -381,7 +381,8 @@ void render(const Snapshot& snap, const std::string& host, uint16_t port,
 
   // Service-thread duty cycles from the busy/idle deltas.
   std::printf("\n  duty   ");
-  for (const char* t : {"runtime", "tx", "rx"}) {
+  // "rx" is the comm progress thread (it also runs the Tx pass).
+  for (const char* t : {"runtime", "rx"}) {
     const std::string base = std::string("duty.") + t;
     const double busy = latest_rate(find(snap, base + ".busy_ns"));
     const double idle = latest_rate(find(snap, base + ".idle_ns"));

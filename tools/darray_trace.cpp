@@ -21,6 +21,19 @@
 //                                          slice, cross-node flow arrows keyed
 //                                          by the journey's correlation id
 //
+// Sampling-profiler dumps (obs::dump_profile; bench/serve_soak --profile).
+// Symbolization happened inside the dumping process (the dump embeds a dladdr
+// table plus a /proc/self/maps copy), so this works on any machine:
+//
+//   darray-trace --profile PROFILE.prof                 totals, per-thread
+//                                          split, top-20 self/total table
+//   darray-trace --profile PROFILE.prof --top N         same with N rows
+//   darray-trace --profile PROFILE.prof --collapsed OUT flamegraph-collapsed
+//                                          folded stacks ("-" = stdout)
+//   darray-trace --profile PROFILE.prof --perfetto OUT  Chrome trace-event
+//                                          JSON with stackFrames/samples
+//                                          sampling tracks
+//
 // Exit status: 0 on success, 1 on a malformed/unreadable dump.
 #include <algorithm>
 #include <cinttypes>
@@ -611,16 +624,14 @@ int main(int argc, char** argv) {
                  "[--slowest N | --corr HEXID | --perfetto OUT.json]\n"
                  "       darray-trace --journeys SLOW.json [--perfetto OUT.json]\n"
                  "       darray-trace --profile PROFILE.prof "
-                 "[--collapsed OUT | --perfetto OUT.json]\n");
+                 "[--top N | --collapsed OUT | --perfetto OUT.json]\n");
     return 1;
   }
   if (std::strcmp(argv[1], "--profile") == 0) {
-    // Sampling-profiler dumps (obs::dump_profile) share the offline reader
-    // with darray-prof; this alias keeps one entry point for all obs dumps.
     if (argc < 3) {
       std::fprintf(stderr,
                    "usage: darray-trace --profile PROFILE.prof "
-                   "[--collapsed OUT | --perfetto OUT.json]\n");
+                   "[--top N | --collapsed OUT | --perfetto OUT.json]\n");
       return 1;
     }
     profdump::ProfDump pd;
@@ -641,7 +652,10 @@ int main(int argc, char** argv) {
     }
     if (argc >= 5 && std::strcmp(argv[3], "--perfetto") == 0)
       return profdump::write_perfetto(pd, argv[4]) ? 0 : 1;
-    profdump::print_report(pd, 20);
+    size_t topn = 20;
+    if (argc >= 5 && std::strcmp(argv[3], "--top") == 0)
+      topn = static_cast<size_t>(std::strtoull(argv[4], nullptr, 10));
+    profdump::print_report(pd, topn);
     return 0;
   }
   if (std::strcmp(argv[1], "--journeys") == 0) {

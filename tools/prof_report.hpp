@@ -1,7 +1,6 @@
 // Shared offline reader for sampling-profiler dumps ("darray_profile v1",
-// written by obs::dump_profile). Used by darray-prof and by
-// `darray-trace --profile`; header-only so the two tools stay tiny and the
-// format knowledge lives in one place.
+// written by obs::dump_profile), behind `darray-trace --profile`;
+// header-only so the format knowledge lives in one place.
 //
 // The dump is line-oriented:
 //   darray_profile v1
