@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -19,7 +20,7 @@
 #include <vector>
 
 #include "common/barrier.hpp"
-#include "common/histogram.hpp"
+#include "common/clock.hpp"
 #include "core/context.hpp"
 #include "obs/stats_registry.hpp"
 #include "obs/timeseries.hpp"
@@ -88,6 +89,16 @@ inline double measure_avg_ns(rt::Cluster& cluster, uint64_t ops_per_thread,
                                    [&](rt::NodeId n, uint32_t, uint64_t i) { op(n, i); });
   // total ops/s across nodes → per-node op rate → ns per op on one thread
   return 1e3 / (mops / static_cast<double>(cluster.num_nodes()));
+}
+
+// Exact q-quantile (q in [0, 1]) of raw latency samples: the sample of rank
+// floor(q·(n−1)) in sorted order, or 0 when there are none.
+inline uint64_t sample_percentile_ns(std::vector<uint64_t> samples, double q) {
+  if (samples.empty()) return 0;
+  const auto k = samples.begin() +
+                 static_cast<std::ptrdiff_t>(q * static_cast<double>(samples.size() - 1));
+  std::nth_element(samples.begin(), k, samples.end());
+  return *k;
 }
 
 // --- table printing ----------------------------------------------------------

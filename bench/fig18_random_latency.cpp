@@ -126,9 +126,9 @@ uint32_t sweep_iters(uint32_t size) {
 }
 
 // One full pass (fresh cluster, every extent cold): appends one bandwidth
-// sample per size and records per-get_range latencies into `hists`.
+// sample per size and the per-get_range latencies to `lat_ns`.
 void sweep_pass(bool rndz, std::map<uint32_t, std::vector<double>>& bw,
-                std::map<uint32_t, LatencyHistogram>& hists) {
+                std::map<uint32_t, std::vector<uint64_t>>& lat_ns) {
   const std::vector<uint32_t> sizes = sweep_sizes();
   uint64_t total_chunks = 0;
   for (const uint32_t s : sizes) total_chunks += uint64_t{sweep_iters(s)} * extent_chunks(s);
@@ -162,7 +162,7 @@ void sweep_pass(bool rndz, std::map<uint32_t, std::vector<double>>& bw,
       for (uint32_t it = 0; it < iters; ++it) {
         const uint64_t ts0 = now_ns();
         arr.get_range(next_chunk * kSweepChunkElems, std::span<uint64_t>(out.data(), elems));
-        hists[size].record(now_ns() - ts0);
+        lat_ns[size].push_back(now_ns() - ts0);
         next_chunk += extent_chunks(size);
       }
       const double secs = static_cast<double>(now_ns() - t0) / 1e9;
@@ -182,10 +182,10 @@ int sweep_main(bool json) {
   JsonReport report("fig18_random_latency", json);
   const uint32_t reps = json ? bench_reps() : 1;
   std::map<std::string, std::map<uint32_t, std::vector<double>>> bw;
-  std::map<std::string, std::map<uint32_t, LatencyHistogram>> hists;
+  std::map<std::string, std::map<uint32_t, std::vector<uint64_t>>> lat_ns;
   for (const bool rndz : {false, true}) {
     const std::string cfg = rndz ? "rndz" : "eager";
-    for (uint32_t r = 0; r < reps; ++r) sweep_pass(rndz, bw[cfg], hists[cfg]);
+    for (uint32_t r = 0; r < reps; ++r) sweep_pass(rndz, bw[cfg], lat_ns[cfg]);
   }
   if (!json)
     std::printf("=== fig18 (--sweep): remote get_range bandwidth, eager vs "
@@ -197,7 +197,7 @@ int sweep_main(bool json) {
       const std::string cfg = rndz ? "rndz" : "eager";
       med[rndz] = report.add(cfg, "range_bw_mbps_" + size_tag(size), "MB/s",
                              bw[cfg][size]);
-      p99[rndz] = static_cast<double>(hists[cfg][size].percentile_ns(0.99));
+      p99[rndz] = static_cast<double>(sample_percentile_ns(lat_ns[cfg][size], 0.99));
       report.add(cfg, "range_p99_ns_" + size_tag(size), "ns", {p99[rndz]});
     }
     if (!json)

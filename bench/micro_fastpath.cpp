@@ -287,9 +287,9 @@ struct BulkPairBench {
   }
 };
 
-// Serial bulk transfers of `size` bytes; returns MB/s and records the
-// per-transfer completion latency (post to final dispatch) into `hist`.
-double bulk_bw_mbps(BulkPairBench& p, uint32_t size, LatencyHistogram& hist) {
+// Serial bulk transfers of `size` bytes; returns MB/s and appends the
+// per-transfer completion latency (post to final dispatch) to `lat_ns`.
+double bulk_bw_mbps(BulkPairBench& p, uint32_t size, std::vector<uint64_t>& lat_ns) {
   const int iters = static_cast<int>(std::clamp<uint64_t>(
       bench::env_u64("DARRAY_BENCH_SWEEP_BYTES", 8u << 20) / size, 4, 512));
   int expect = p.rx1.load(std::memory_order_acquire);
@@ -323,7 +323,7 @@ double bulk_bw_mbps(BulkPairBench& p, uint32_t size, LatencyHistogram& hist) {
       }
     }
     spin_wait_until(p.rx1, [expect](int v) { return v >= expect; });
-    hist.record(now_ns() - ts);
+    lat_ns.push_back(now_ns() - ts);
   }
   const double secs = static_cast<double>(now_ns() - t0) / 1e9;
   return static_cast<double>(iters) * static_cast<double>(size) / secs / 1e6;
@@ -351,12 +351,12 @@ void run_bulk_sweep(bench::JsonReport& report) {
     double bw[2] = {0, 0}, p99[2] = {0, 0};
     for (const bool rndz : {false, true}) {
       const std::string cfg = rndz ? "rndz" : "eager";
-      LatencyHistogram hist;
+      std::vector<uint64_t> lat_ns;
       bw[rndz] = report.measure(cfg, "bulk_bw_mbps_" + size_tag(size), "MB/s", [&] {
         BulkPairBench p(rndz);
-        return bulk_bw_mbps(p, size, hist);
+        return bulk_bw_mbps(p, size, lat_ns);
       });
-      p99[rndz] = static_cast<double>(hist.percentile_ns(0.99));
+      p99[rndz] = static_cast<double>(bench::sample_percentile_ns(std::move(lat_ns), 0.99));
       report.add(cfg, "bulk_p99_ns_" + size_tag(size), "ns", {p99[rndz]});
     }
     if (!report.enabled())

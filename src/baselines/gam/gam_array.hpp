@@ -62,15 +62,16 @@ class GamArray {
     if (pinned) inner_.unpin(index);
   }
 
-  // Bulk transfers, still paying the lock per covered chunk.
-  void read_bulk(uint64_t index, T* out, uint64_t count) const {
-    bulk(index, count, [&](uint64_t i, uint64_t n, uint64_t done) {
-      inner_.read_bulk(i, out + done, n);
+  // Range transfers with DArray's signatures, still paying the lock per
+  // covered chunk.
+  Status get_range(uint64_t first, std::span<T> out) const {
+    return bulk(first, out.size(), [&](uint64_t i, uint64_t n, uint64_t done) {
+      return inner_.get_range(i, out.subspan(done, n));
     });
   }
-  void write_bulk(uint64_t index, const T* src, uint64_t count) const {
-    bulk(index, count, [&](uint64_t i, uint64_t n, uint64_t done) {
-      inner_.write_bulk(i, src + done, n);
+  Status set_range(uint64_t first, std::span<const T> src) const {
+    return bulk(first, src.size(), [&](uint64_t i, uint64_t n, uint64_t done) {
+      return inner_.set_range(i, src.subspan(done, n));
     });
   }
 
@@ -85,16 +86,19 @@ class GamArray {
   };
 
   template <typename Fn>
-  void bulk(uint64_t index, uint64_t count, Fn&& fn) const {
+  Status bulk(uint64_t index, uint64_t count, Fn&& fn) const {
+    if (count > size() || index > size() - count) return Status::kOutOfRange;
     const uint32_t ce = inner_.meta().chunk_elems;
     uint64_t done = 0;
     while (done < count) {
       const uint64_t i = index + done;
       const uint64_t n = std::min<uint64_t>(count - done, ce - i % ce);
       std::scoped_lock lk(chunk_lock(i));
-      fn(i, n, done);
+      const Status st = fn(i, n, done);
+      if (st != Status::kOk) return st;
       done += n;
     }
+    return Status::kOk;
   }
 
   SpinLock& chunk_lock(uint64_t index) const {

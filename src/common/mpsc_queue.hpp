@@ -61,8 +61,9 @@ class Doorbell {
 template <typename T>
 class MpscQueue {
  public:
-  // doorbell may be null; then consumers must poll.
-  explicit MpscQueue(Doorbell* doorbell = nullptr) : doorbell_(doorbell) {
+  // Pushes ring nothing: a producer that wants the consumer awake rings the
+  // consumer's Doorbell itself after push().
+  MpscQueue() {
     Node* stub = new Node();
     head_.store(stub, std::memory_order_relaxed);
     tail_ = stub;
@@ -84,7 +85,6 @@ class MpscQueue {
     Node* n = new Node(std::move(v));
     Node* prev = head_.exchange(n, std::memory_order_acq_rel);
     prev->next.store(n, std::memory_order_release);
-    if (doorbell_) doorbell_->ring();
   }
 
   // Single consumer only.
@@ -114,8 +114,6 @@ class MpscQueue {
 
   bool empty() const { return tail_->next.load(std::memory_order_acquire) == nullptr; }
 
-  Doorbell* doorbell() const { return doorbell_; }
-
  private:
   struct Node {
     Node() = default;
@@ -126,7 +124,6 @@ class MpscQueue {
 
   std::atomic<Node*> head_;           // producers CAS here
   alignas(64) Node* tail_;            // consumer-private
-  Doorbell* doorbell_;
 };
 
 }  // namespace darray

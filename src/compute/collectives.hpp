@@ -355,7 +355,8 @@ void gemv(T alpha, const DArray<T>& A, const DArray<T>& x, T beta, const DArray<
   while (xs.next(xv)) {
     ablk.resize(xv.count);
     for (uint64_t r = r0; r < r1; ++r) {
-      A.read_bulk(r * n_cols + xv.first, ablk.data(), xv.count);
+      const Status st = A.get_range(r * n_cols + xv.first, std::span<T>(ablk));
+      DARRAY_ASSERT(st == Status::kOk);
       T acc{};
       for (uint64_t k = 0; k < xv.count; ++k) acc += ablk[k] * xv.data[k];
       yb[r - r0] += alpha * acc;

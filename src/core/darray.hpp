@@ -23,7 +23,7 @@
 #include <span>
 #include <type_traits>
 
-#include "common/histogram.hpp"
+#include "common/clock.hpp"
 #include "common/status.hpp"
 #include "core/context.hpp"
 #include "obs/inflight.hpp"
@@ -170,25 +170,9 @@ class DArray {
   }
 
   // --- bulk transfers ---------------------------------------------------------
-  // Copy `count` elements starting at `index` out of / into the array,
-  // acquiring each covered chunk once (not per element). Atomicity is per
-  // chunk, like a sequence of get/set.
-
-  void read_bulk(uint64_t index, T* out, uint64_t count) const {
-    bulk_op(index, count, [&](std::byte* base, uint32_t off, uint64_t n, uint64_t done) {
-      std::memcpy(out + done, base + size_t{off} * sizeof(T), n * sizeof(T));
-    }, /*write=*/false);
-  }
-
-  void write_bulk(uint64_t index, const T* src, uint64_t count) const {
-    bulk_op(index, count, [&](std::byte* base, uint32_t off, uint64_t n, uint64_t done) {
-      std::memcpy(base + size_t{off} * sizeof(T), src + done, n * sizeof(T));
-    }, /*write=*/true);
-  }
-
-  // Span-typed range accessors: the bounds-checked face of read_bulk /
-  // write_bulk. Copy out.size() (src.size()) elements starting at `first`,
-  // acquiring each covered chunk once; atomicity is per chunk.
+  // Copy out.size() (src.size()) elements starting at `first` out of / into
+  // the array, acquiring each covered chunk once (not per element). Atomicity
+  // is per chunk, like a sequence of get/set.
   //
   // Out-of-bounds extents return Status::kOutOfRange instead of aborting —
   // the serving path (src/serve) reflects bad client extents as typed errors,

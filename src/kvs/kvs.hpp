@@ -269,7 +269,8 @@ class BasicKvs {
     blob[1] = static_cast<uint8_t>(key.size() >> 8);
     std::memcpy(blob.data() + 2, key.data(), key.size());
     std::memcpy(blob.data() + 2 + key.size(), value.data(), value.size());
-    im.bytes.write_bulk(offset, blob.data(), blob.size());
+    const Status st = im.bytes.set_range(offset, std::span<const uint8_t>(blob));
+    DARRAY_ASSERT(st == Status::kOk);  // offset comes from the KVS's own slab
   }
 
   bool key_matches(uint64_t entry, std::string_view key) {
@@ -277,7 +278,8 @@ class BasicKvs {
     const uint32_t size = entry_size(entry);
     if (size < 2 + key.size()) return false;
     std::vector<uint8_t> hdr(2 + key.size());
-    im.bytes.read_bulk(entry_offset(entry), hdr.data(), hdr.size());
+    const Status st = im.bytes.get_range(entry_offset(entry), std::span<uint8_t>(hdr));
+    DARRAY_ASSERT(st == Status::kOk);
     const uint32_t klen = hdr[0] | (uint32_t{hdr[1]} << 8);
     if (klen != key.size()) return false;
     return std::memcmp(hdr.data() + 2, key.data(), key.size()) == 0;
@@ -287,7 +289,8 @@ class BasicKvs {
     Impl& im = *impl_;
     const uint32_t size = entry_size(entry);
     std::vector<uint8_t> blob(size);
-    im.bytes.read_bulk(entry_offset(entry), blob.data(), size);
+    const Status st = im.bytes.get_range(entry_offset(entry), std::span<uint8_t>(blob));
+    DARRAY_ASSERT(st == Status::kOk);
     if (size < 2) return std::nullopt;
     const uint32_t klen = blob[0] | (uint32_t{blob[1]} << 8);
     if (klen != key.size() || 2 + klen > size) return std::nullopt;

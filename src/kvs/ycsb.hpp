@@ -1,18 +1,11 @@
-// YCSB-style workload driver for the distributed KVS (paper §6.5): keys drawn
-// from a Zipfian(0.99) distribution, a configurable get/put mix, measured as
+// YCSB-style workload definition for the distributed KVS (paper §6.5): keys
+// drawn from a Zipfian(0.99) distribution and a configurable get/put mix.
+// serve/ycsb_serve.hpp drives it through darray::Client sessions and reports
 // total Kops/s across all nodes and threads.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include "common/barrier.hpp"
-#include "common/histogram.hpp"
-#include "common/rng.hpp"
-#include "common/zipf.hpp"
-#include "core/context.hpp"
 
 namespace darray::kvs {
 
@@ -26,82 +19,12 @@ struct YcsbConfig {
   uint64_t seed = 42;
 };
 
-struct YcsbResult {
-  double kops = 0;               // total throughput, Kops/s
-  uint64_t gets = 0, puts = 0, misses = 0;
-  double elapsed_s = 0;
-};
-
 inline std::string ycsb_key(uint64_t id) { return "user" + std::to_string(id); }
 
 inline std::string ycsb_value(uint64_t id, uint32_t bytes) {
   std::string v = "val" + std::to_string(id) + ":";
   v.resize(bytes, 'x');
   return v;
-}
-
-// Preload every key (round-robin across nodes, like YCSB's load phase).
-template <typename Kvs>
-void ycsb_load(rt::Cluster& cluster, Kvs& kvs, const YcsbConfig& cfg) {
-  std::vector<std::thread> ts;
-  for (rt::NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    ts.emplace_back([&, n] {
-      bind_thread(cluster, n);
-      for (uint64_t k = n; k < cfg.n_keys; k += cluster.num_nodes()) {
-        const bool ok = kvs.put(ycsb_key(k), ycsb_value(k, cfg.value_bytes));
-        DARRAY_ASSERT_MSG(ok, "YCSB load phase ran out of KVS space");
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-}
-
-template <typename Kvs>
-YcsbResult run_ycsb(rt::Cluster& cluster, Kvs& kvs, const YcsbConfig& cfg) {
-  const uint32_t total_threads = cluster.num_nodes() * cfg.threads_per_node;
-  SenseBarrier barrier(total_threads + 1);
-  std::atomic<uint64_t> gets{0}, puts{0}, misses{0};
-
-  std::vector<std::thread> ts;
-  for (rt::NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    for (uint32_t t = 0; t < cfg.threads_per_node; ++t) {
-      ts.emplace_back([&, n, t] {
-        bind_thread(cluster, n);
-        Xoshiro256 rng(cfg.seed * 1000003 + n * 131 + t);
-        ZipfGenerator zipf(cfg.n_keys, cfg.zipf_theta);
-        uint64_t my_gets = 0, my_puts = 0, my_misses = 0;
-        barrier.arrive_and_wait();  // start together
-        for (uint64_t i = 0; i < cfg.ops_per_thread; ++i) {
-          const uint64_t k = zipf.next(rng);
-          if (rng.next_double() < cfg.get_ratio) {
-            my_gets++;
-            if (!kvs.get(ycsb_key(k))) my_misses++;
-          } else {
-            my_puts++;
-            kvs.put(ycsb_key(k), ycsb_value(k ^ i, cfg.value_bytes));
-          }
-        }
-        gets.fetch_add(my_gets);
-        puts.fetch_add(my_puts);
-        misses.fetch_add(my_misses);
-        barrier.arrive_and_wait();  // end together
-      });
-    }
-  }
-
-  barrier.arrive_and_wait();
-  const uint64_t t0 = now_ns();
-  barrier.arrive_and_wait();
-  const uint64_t t1 = now_ns();
-  for (auto& t : ts) t.join();
-
-  YcsbResult r;
-  r.gets = gets.load();
-  r.puts = puts.load();
-  r.misses = misses.load();
-  r.elapsed_s = static_cast<double>(t1 - t0) / 1e9;
-  r.kops = static_cast<double>(r.gets + r.puts) / r.elapsed_s / 1e3;
-  return r;
 }
 
 }  // namespace darray::kvs

@@ -14,8 +14,8 @@
 #include <atomic>
 #include <cstdint>
 
-#include "common/histogram.hpp"  // now_ns()
-#include "obs/profiler.hpp"      // set_prof_phase: samples tag busy vs idle
+#include "common/clock.hpp"
+#include "obs/profiler.hpp"  // set_prof_phase: samples tag busy vs idle
 
 namespace darray::obs {
 

@@ -14,7 +14,7 @@
 // interval exactly — admit (request leg: encode + wire + admission), queue,
 // backend, net (response leg), deliver (session matching + wakeup) — so the
 // per-stage histograms answer "which stage ate the p99" without any residual
-// bucket. All simulated nodes share one monotonic clock (common/histogram.hpp
+// bucket. All simulated nodes share one monotonic clock (common/clock.hpp
 // now_ns), which is what makes cross-"node" stamp arithmetic meaningful.
 //
 // The JourneyCollector is a process-global leaked singleton, like the

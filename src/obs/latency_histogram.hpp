@@ -1,7 +1,7 @@
-// Lock-free HDR-style latency histograms (obs v2). Same log-linear bucket
-// scheme as common/histogram.hpp but with atomic buckets, so any thread can
-// record while any other thread snapshots or merges — no locks, no allocation
-// on the record path. Resolution is 8 sub-buckets per octave (3 significant
+// Lock-free HDR-style latency histograms (obs v2), the codebase's one
+// histogram: log-linear buckets that are atomic, so any thread can record
+// while any other thread snapshots or merges — no locks, no allocation on the
+// record path. Resolution is 8 sub-buckets per octave (3 significant
 // bits, ≤12.5% relative error), covering 1 ns to ~4.5 minutes before the top
 // bucket clamps; the product range of interest (~1 µs – 10 s) sits well
 // inside that.

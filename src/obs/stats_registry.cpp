@@ -5,13 +5,6 @@
 
 namespace darray::obs {
 
-void StatsSnapshot::add_histogram(const std::string& prefix, const LatencyHistogram& h) {
-  add(prefix + ".count", h.count());
-  add(prefix + ".mean_ns", static_cast<uint64_t>(h.mean_ns()));
-  add(prefix + ".p50_ns", h.percentile_ns(0.50));
-  add(prefix + ".p99_ns", h.percentile_ns(0.99));
-}
-
 void StatsSnapshot::add_histogram(const std::string& prefix, const HistogramSnapshot& h) {
   add(prefix + ".count", h.count);
   add(prefix + ".sum_ns", h.sum_ns);

@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/histogram.hpp"
 #include "common/spinlock.hpp"
 #include "obs/latency_histogram.hpp"
 
@@ -33,14 +32,12 @@ struct StatEntry {
 // counters — see StatsSnapshot::add_histogram.
 bool stats_is_point_sample(std::string_view name);
 
-// Percentile summary of one LatencyHistogram, flattened so snapshots stay a
-// plain name→value list (".count", ".mean_ns", ".p50_ns", ".p99_ns").
+// A plain name→value list; histograms are flattened into it.
 struct StatsSnapshot {
   std::vector<StatEntry> entries;
 
   void add(std::string name, uint64_t value) { entries.push_back({std::move(name), value}); }
-  void add_histogram(const std::string& prefix, const LatencyHistogram& h);
-  // Richer flattening for the atomic histograms: .count/.sum_ns/.mean_ns/
+  // Flattens one histogram snapshot: .count/.sum_ns/.mean_ns/
   // .p50_ns/.p90_ns/.p99_ns/.p999_ns/.max_ns, plus one ".bkt_<upper_ns>"
   // entry per non-empty bucket carrying that bucket's own (non-cumulative)
   // count. Bucket entries are monotonic counters, so snapshot deltas subtract

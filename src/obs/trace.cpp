@@ -6,7 +6,7 @@
 
 #include <cstring>
 
-#include "common/histogram.hpp"  // now_ns()
+#include "common/clock.hpp"
 #include "common/spinlock.hpp"
 #include "obs/thread_registry.hpp"
 

@@ -19,7 +19,7 @@
 #include <deque>
 #include <span>
 
-#include "common/histogram.hpp"
+#include "common/clock.hpp"
 #include "common/mpsc_queue.hpp"
 #include "rdma/verbs.hpp"
 
@@ -31,10 +31,13 @@ class CompletionQueue {
   // one thread can park on several queues at once (a comm layer's send and
   // recv CQs share its progress thread's bell). Defaults to a private bell.
   explicit CompletionQueue(Doorbell* bell = nullptr)
-      : bell_(bell ? bell : &own_bell_), queue_(bell_) {}
+      : bell_(bell ? bell : &own_bell_) {}
 
   // Fabric-internal: enqueue a completion (any thread).
-  void push(WorkCompletion wc) { queue_.push(wc); }
+  void push(WorkCompletion wc) {
+    queue_.push(wc);
+    bell_->ring();
+  }
 
   // Consumer only. Returns the number of due completions written to `out`.
   size_t poll(std::span<WorkCompletion> out) {

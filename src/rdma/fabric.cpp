@@ -6,7 +6,7 @@
 
 #include "chaos/fault_injector.hpp"
 #include "common/assert.hpp"
-#include "common/histogram.hpp"
+#include "common/clock.hpp"
 #include "common/logging.hpp"
 #include "common/wait.hpp"
 

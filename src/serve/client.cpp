@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "common/histogram.hpp"  // now_ns
+#include "common/clock.hpp"
 #include "obs/journey.hpp"
 
 namespace darray::serve {

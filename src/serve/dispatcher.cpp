@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "common/assert.hpp"
-#include "common/histogram.hpp"  // now_ns
+#include "common/clock.hpp"
 #include "core/context.hpp"
 #include "kvs/kvs.hpp"  // fnv1a
 #include "obs/journey.hpp"

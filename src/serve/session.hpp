@@ -14,7 +14,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "common/histogram.hpp"  // now_ns
+#include "common/clock.hpp"
 #include "common/spinlock.hpp"
 #include "obs/journey.hpp"
 #include "runtime/types.hpp"

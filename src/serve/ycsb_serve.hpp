@@ -1,7 +1,7 @@
-// YCSB-style driver for the serve path: same Zipfian key/mix shape as
-// kvs::run_ycsb, but traffic flows through darray::Client sessions (pipelined
-// window, admission control, hot-key cache) instead of calling the storage
-// engine directly.
+// The YCSB driver: runs the kvs/ycsb.hpp workload (Zipfian keys, get/put
+// mix) through darray::Client sessions, so traffic takes the serve path
+// (pipelined window, admission control, hot-key cache) rather than calling
+// the storage engine directly.
 #pragma once
 
 #include <atomic>
@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "common/barrier.hpp"
+#include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "kvs/ycsb.hpp"
+#include "runtime/cluster.hpp"
 #include "serve/client.hpp"
 
 namespace darray::serve {
@@ -25,7 +27,8 @@ struct ServeYcsbResult {
 };
 
 // Load phase through the front door, so even preload traffic is session
-// traffic. Round-robin client nodes like ycsb_load.
+// traffic. Keys are spread round-robin across client nodes, like YCSB's load
+// phase.
 inline void ycsb_load_serve(KvsService& svc, const kvs::YcsbConfig& cfg) {
   const uint32_t nodes = svc.cluster().num_nodes();
   std::vector<std::thread> ts;

@@ -52,13 +52,14 @@ TEST(GamArray, BulkTransfers) {
   for (size_t i = 0; i < src.size(); ++i) src[i] = static_cast<uint8_t>(i);
   std::thread w([&] {
     bind_thread(cluster, 1);
-    a.write_bulk(100, src.data(), src.size());  // spans several chunks
+    // spans several chunks
+    ASSERT_EQ(a.set_range(100, std::span<const uint8_t>(src)), Status::kOk);
   });
   w.join();
   std::thread r([&] {
     bind_thread(cluster, 0);
     std::vector<uint8_t> dst(200);
-    a.read_bulk(100, dst.data(), dst.size());
+    ASSERT_EQ(a.get_range(100, std::span<uint8_t>(dst)), Status::kOk);
     EXPECT_EQ(dst, src);
   });
   r.join();

@@ -40,12 +40,16 @@ TEST(MpscQueue, MultiProducerTotalSum) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 2000;
   Doorbell bell;
-  MpscQueue<int> q(&bell);
+  MpscQueue<int> q;
 
+  // The queue+doorbell handshake every consumer relies on: push, then ring.
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
+    producers.emplace_back([&q, &bell, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        q.push(p * kPerProducer + i);
+        bell.ring();
+      }
     });
   }
 

@@ -1,4 +1,4 @@
-// Bulk helpers: read_bulk / write_bulk / fill / reduce.
+// Bulk helpers: get_range / set_range / fill / reduce.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -17,9 +17,9 @@ TEST(DArrayBulk, RoundTripWithinOneChunk) {
   auto a = DArray<uint64_t>::create(cluster, 256);
   bind_thread(cluster, 0);
   std::vector<uint64_t> src{1, 2, 3, 4, 5};
-  a.write_bulk(10, src.data(), src.size());
+  ASSERT_EQ(a.set_range(10, std::span<const uint64_t>(src)), Status::kOk);
   std::vector<uint64_t> dst(5);
-  a.read_bulk(10, dst.data(), dst.size());
+  ASSERT_EQ(a.get_range(10, std::span<uint64_t>(dst)), Status::kOk);
   EXPECT_EQ(dst, src);
 }
 
@@ -30,13 +30,14 @@ TEST(DArrayBulk, SpansChunksAndNodes) {
   std::iota(src.begin(), src.end(), 1000);
   std::thread w([&] {
     bind_thread(cluster, 1);
-    a.write_bulk(10, src.data(), src.size());  // crosses the node boundary
+    // crosses the node boundary
+    ASSERT_EQ(a.set_range(10, std::span<const uint64_t>(src)), Status::kOk);
   });
   w.join();
   std::thread r([&] {
     bind_thread(cluster, 0);
     std::vector<uint64_t> dst(100);
-    a.read_bulk(10, dst.data(), dst.size());
+    ASSERT_EQ(a.get_range(10, std::span<uint64_t>(dst)), Status::kOk);
     EXPECT_EQ(dst, src);
     for (size_t i = 0; i < 100; ++i) EXPECT_EQ(a.get(10 + i), src[i]);
   });
@@ -49,9 +50,9 @@ TEST(DArrayBulk, ByteElements) {
   bind_thread(cluster, 0);
   std::vector<uint8_t> src(700);
   for (size_t i = 0; i < src.size(); ++i) src[i] = static_cast<uint8_t>(i * 7);
-  a.write_bulk(100, src.data(), src.size());
+  ASSERT_EQ(a.set_range(100, std::span<const uint8_t>(src)), Status::kOk);
   std::vector<uint8_t> dst(700);
-  a.read_bulk(100, dst.data(), dst.size());
+  ASSERT_EQ(a.get_range(100, std::span<uint8_t>(dst)), Status::kOk);
   EXPECT_EQ(dst, src);
 }
 
@@ -110,9 +111,10 @@ TEST(DArrayBulk, BulkThroughPin) {
     ASSERT_TRUE(a.pin(0, PinMode::kWrite));
     std::vector<uint64_t> src(64);
     std::iota(src.begin(), src.end(), 7);
-    a.write_bulk(0, src.data(), 64);  // entirely inside the pinned chunk
+    // entirely inside the pinned chunk
+    ASSERT_EQ(a.set_range(0, std::span<const uint64_t>(src)), Status::kOk);
     std::vector<uint64_t> dst(64);
-    a.read_bulk(0, dst.data(), 64);
+    ASSERT_EQ(a.get_range(0, std::span<uint64_t>(dst)), Status::kOk);
     EXPECT_EQ(dst, src);
     a.unpin(0);
   });

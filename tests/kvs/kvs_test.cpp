@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "kvs/ycsb.hpp"
 #include "tests/test_util.hpp"
 
 namespace darray::kvs {
@@ -157,21 +156,6 @@ TYPED_TEST(KvsTest, EmptyValue) {
   auto v = kvs.get("k");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, "");
-}
-
-TEST(Ycsb, SmokeRunOnDArrayKvs) {
-  rt::Cluster cluster(small_cfg(2));
-  auto kvs = DKvs::create(cluster, KvsConfig{1 << 8, 1 << 6, 8 << 20});
-  YcsbConfig cfg;
-  cfg.n_keys = 500;
-  cfg.ops_per_thread = 300;
-  cfg.threads_per_node = 2;
-  cfg.get_ratio = 0.9;
-  ycsb_load(cluster, kvs, cfg);
-  YcsbResult r = run_ycsb(cluster, kvs, cfg);
-  EXPECT_EQ(r.gets + r.puts, 2u * 2 * 300);
-  EXPECT_EQ(r.misses, 0u) << "all keys were preloaded";
-  EXPECT_GT(r.kops, 0.0);
 }
 
 }  // namespace

@@ -19,8 +19,8 @@ namespace darray::net {
 namespace {
 
 // Two nodes' comm layers over one fabric, configurable, with messages
-// optionally queued before start() so the Tx thread's first drain pass sees
-// them all at once — that makes batch formation deterministic.
+// optionally queued before start() so the progress thread's first Tx pass
+// sees them all at once — that makes batch formation deterministic.
 struct Harness {
   ClusterConfig cfg;
   chaos::FaultPlan plan;
@@ -174,7 +174,7 @@ TEST(BatchFraming, DetectsTruncationAndTrailingBytes) {
 TEST(Coalesce, BurstSharesWireSends) {
   Harness h;
   constexpr int kMsgs = 100;
-  // Queue the burst before the Tx thread exists: its first drain pass sees
+  // Queue the burst before the progress thread exists: its first Tx pass sees
   // every message and must pack them (default coalesce_max_frames = 32).
   for (int i = 0; i < kMsgs; ++i) h.c0->post(inv_ack(1, static_cast<uint64_t>(i)));
   h.start();
@@ -279,8 +279,8 @@ TEST(Coalesce, DisabledMatchesUncoalescedWireBehaviour) {
 
 // Two threads post to one peer on a live link: a post runs the Tx pass inline
 // when the Tx lock is free and queues behind the holder otherwise, and a
-// backlog queued before start() goes through the Tx thread. Each poster's
-// messages must still arrive in its own order.
+// backlog queued before start() goes through the progress thread's first Tx
+// pass. Each poster's messages must still arrive in its own order.
 TEST(Coalesce, InlineAndQueuedPostsKeepPerPeerFifo) {
   Harness h;
   constexpr uint64_t kEach = 3000;

@@ -124,8 +124,8 @@ TEST(CommLayerRetry, FaultyLinkStillDeliversEverythingInOrder) {
 }
 
 // Two threads post to one peer over a faulty link: posts run the Tx pass
-// inline while the link is healthy and hand off to the Tx thread while the
-// peer recovers. Each poster's messages must arrive once, in its own order.
+// inline while the link is healthy and leave the rest to the progress thread
+// while the peer recovers. Each poster's messages must arrive once, in its own order.
 TEST(CommLayerRetry, InlineAndQueuedPostsKeepPerPeerFifo) {
   ChaosHarness h(flaky_plan(21));
   h.start();
@@ -216,7 +216,7 @@ TEST(CommLayerRetry, InlinePostOnExhaustedArenaHandsOffToProgressThread) {
 
 TEST(CommLayerRetry, StagedWriteSurvivesSourceRecycling) {
   // Under chaos the data WRITE must be replayable after the runtime recycles
-  // the source cacheline, so the Tx thread stages the payload.
+  // the source cacheline, so the Tx pass stages the payload.
   ChaosHarness h(flaky_plan(99));
   h.start();
   std::vector<std::byte> src(256), dst(256);

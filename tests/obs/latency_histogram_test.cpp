@@ -59,10 +59,30 @@ TEST(LatencyHistogram, PercentilesOnKnownDistribution) {
   EXPECT_NEAR(s.mean_ns(), 109'900.0, 1.0);
 }
 
+// The mean comes from the exact running sum, not from bucket bounds.
+TEST(Histogram, MeanExact) {
+  AtomicLatencyHistogram h;
+  for (uint64_t v = 1; v <= 100; ++v) h.record(v);
+  EXPECT_DOUBLE_EQ(h.snapshot().mean_ns(), 50.5);
+}
+
 TEST(LatencyHistogram, EmptySnapshotIsAllZero) {
   AtomicLatencyHistogram h;
   const HistogramSnapshot s = h.snapshot();
   EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.percentile_ns(0.99), 0u);
+  EXPECT_EQ(s.max_ns(), 0u);
+  EXPECT_EQ(s.mean_ns(), 0.0);
+}
+
+// reset() returns a used histogram to the empty state.
+TEST(Histogram, ResetClears) {
+  AtomicLatencyHistogram h;
+  h.record(123);
+  h.reset();
+  const HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.sum_ns, 0u);
   EXPECT_EQ(s.percentile_ns(0.99), 0u);
   EXPECT_EQ(s.max_ns(), 0u);
   EXPECT_EQ(s.mean_ns(), 0.0);

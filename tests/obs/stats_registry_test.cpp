@@ -5,7 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/histogram.hpp"
 #include "obs/stats_registry.hpp"
 
 namespace darray::obs {
@@ -23,10 +22,10 @@ TEST(StatsSnapshot, AddFindValueOr) {
 }
 
 TEST(StatsSnapshot, HistogramFlattensToPercentileEntries) {
-  LatencyHistogram h;
+  AtomicLatencyHistogram h;
   for (uint64_t i = 1; i <= 100; ++i) h.record(i * 1000);
   StatsSnapshot s;
-  s.add_histogram("op.get", h);
+  s.add_histogram("op.get", h.snapshot());
   EXPECT_EQ(s.value_or("op.get.count"), 100u);
   EXPECT_GT(s.value_or("op.get.mean_ns"), 0u);
   EXPECT_GT(s.value_or("op.get.p99_ns"), s.value_or("op.get.p50_ns"));

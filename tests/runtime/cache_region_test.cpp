@@ -84,7 +84,7 @@ TEST(CacheRegion, PendingReleaseWaitsForTxFlag) {
   region.free_when_posted(l);
   EXPECT_EQ(region.free_count(), 2u);  // counted as free capacity...
   EXPECT_FALSE(region.tick_pending_releases());
-  // ...but not allocatable until the Tx thread posts the data.
+  // ...but not allocatable until the Tx pass posts the data.
   CacheLine* a = region.allocate(0, 1);
   CacheLine* b = region.allocate(0, 2);
   EXPECT_NE(a, nullptr);

@@ -7,7 +7,7 @@
 
 #include <thread>
 
-#include "common/histogram.hpp"
+#include "common/clock.hpp"
 #include "core/darray.hpp"
 #include "tests/test_util.hpp"
 

@@ -6,7 +6,7 @@
 
 #include <thread>
 
-#include "common/histogram.hpp"  // now_ns
+#include "common/clock.hpp"
 #include "obs/journey.hpp"
 #include "serve/counters.hpp"
 #include "serve/session.hpp"
