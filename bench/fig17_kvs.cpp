@@ -61,10 +61,12 @@ int main() {
       print_row(t, {d, g, d / g}, "%14.1f");
     }
   }
-  std::printf("\nexpected shape: both engines sit on the same substrate and pay the "
-              "same serve+bucket-lock RPC costs, so speedup hovers near 1x on this "
-              "host (EXPERIMENTS.md fig17: honest divergence) with DArray-KVS "
-              "trending ahead as threads grow; the paper's 20x-41x gap comes from "
-              "GAM's heavier access path, isolated by micro_fastpath instead.\n");
+  std::printf("\nexpected shape: both engines sit on the same substrate, and every "
+              "request runs on its key's owner node (inline for the owner's own "
+              "clients, over the fabric for the rest), so the fabric round trip "
+              "both pay dwarfs the sub-microsecond access-path gap and speedup "
+              "hovers near 1x on this host (EXPERIMENTS.md fig17: honest "
+              "divergence); the paper's 20x-41x gap comes from GAM's heavier "
+              "access path, isolated by micro_fastpath instead.\n");
   return 0;
 }

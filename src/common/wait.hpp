@@ -3,8 +3,12 @@
 // The whole cluster simulation is heavily oversubscribed (many nodes' worth of
 // threads on few cores), so unbounded spinning would starve the thread that
 // must make progress. Every wait here spins a short, bounded burst and then
-// parks on the atomic via C++20 atomic::wait (a futex on Linux). Producers
-// publish with publish_and_notify.
+// parks on the atomic via C++20 atomic::wait. That is not a bare futex:
+// libstdc++ 12's atomic::wait first spins itself (__atomic_spin in
+// bits/atomic_wait.h: 12 `pause`s, then 4 sched_yield calls) and only then
+// sleeps in futex(FUTEX_WAIT). So a park that the value ends quickly costs
+// yields, not a sleep; on a busy host that is a few sched_yield calls per
+// remote miss. Producers publish with publish_and_notify.
 #pragma once
 
 #include <atomic>

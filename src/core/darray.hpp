@@ -172,7 +172,9 @@ class DArray {
   // --- bulk transfers ---------------------------------------------------------
   // Copy out.size() (src.size()) elements starting at `first` out of / into
   // the array, acquiring each covered chunk once (not per element). Atomicity
-  // is per chunk, like a sequence of get/set.
+  // is per chunk, like a sequence of get/set. The array side is copied with
+  // relaxed atomics (rt::atomic_copy_out/in), so a copy that races a writer
+  // on the same node is race-free, though it may mix old and new bytes.
   //
   // Out-of-bounds extents return Status::kOutOfRange instead of aborting —
   // the serving path (src/serve) reflects bad client extents as typed errors,
@@ -187,7 +189,8 @@ class DArray {
     api_detail::OpSpan span(obs::OpKind::kGetRange, ctx.node, meta_->id, first);
     bulk_op(first, out.size(),
             [&](std::byte* base, uint32_t off, uint64_t n, uint64_t done) {
-              std::memcpy(out.data() + done, base + size_t{off} * sizeof(T), n * sizeof(T));
+              rt::atomic_copy_out(reinterpret_cast<std::byte*>(out.data() + done),
+                                  base + size_t{off} * sizeof(T), n * sizeof(T));
             },
             /*write=*/false, span.corr);
     return Status::kOk;
@@ -200,7 +203,9 @@ class DArray {
     api_detail::OpSpan span(obs::OpKind::kSetRange, ctx.node, meta_->id, first);
     bulk_op(first, src.size(),
             [&](std::byte* base, uint32_t off, uint64_t n, uint64_t done) {
-              std::memcpy(base + size_t{off} * sizeof(T), src.data() + done, n * sizeof(T));
+              rt::atomic_copy_in(base + size_t{off} * sizeof(T),
+                                 reinterpret_cast<const std::byte*>(src.data() + done),
+                                 n * sizeof(T));
             },
             /*write=*/true, span.corr);
     return Status::kOk;

@@ -2,7 +2,10 @@
 // §5.2, Fig. 11): an entry array partitioned into buckets of 15 entries plus
 // an overflow pointer, and a byte array managed by a Memcached-style slab
 // allocator. Each 8-byte entry packs an 8-bit tag, 16-bit size and 40-bit
-// offset. Bucket chains are protected by the array's distributed R/W locks.
+// offset. Writers (put/erase) hold the main bucket's distributed write lock;
+// readers (get/contains) take no lock: they validate the bucket's version, a
+// seqlock kept in the high bits of the main bucket's overflow slot, and fall
+// back to the read lock only after a few failed validations.
 //
 // The implementation is templated over the array type so the DArray-based
 // KVS and the GAM-based KVS (the paper's comparison pair, Fig. 17) share all
@@ -11,10 +14,12 @@
 //   using GamKvs = BasicKvs<gam::GamArray>;
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "baselines/gam/gam_array.hpp"
@@ -43,6 +48,17 @@ class BasicKvs {
  public:
   static constexpr uint32_t kSlots = 16;             // 15 entries + overflow ptr
   static constexpr uint32_t kEntriesPerBucket = 15;  // paper §5.2
+  // A bucket's overflow slot holds `next + 1` (0 = end of chain) in its low
+  // kNextBits bits. A main bucket's slot also holds the chain's 24-bit
+  // version above them: odd while a writer is inside, bumped on entry and
+  // exit. Keeping it there, not in a separate array, keeps the version in
+  // the same chunk as the entries it guards.
+  static constexpr uint32_t kNextBits = 40;
+  static constexpr uint64_t kNextMask = (1ull << kNextBits) - 1;
+  static constexpr uint64_t kVersionOne = 1ull << kNextBits;
+  // Failed validations (odd or changed version) before a reader probes under
+  // the read lock instead, so a write storm cannot starve it.
+  static constexpr uint32_t kOptimisticReads = 4;
 
   static BasicKvs create(rt::Cluster& cluster, const KvsConfig& cfg = {}) {
     BasicKvs k;
@@ -85,6 +101,9 @@ class BasicKvs {
   }
 
   // NOTE: put/get/contains/erase below are the storage-engine internals.
+  // put/erase run under the main bucket's write lock and hold its version
+  // odd while they change the chain; get/contains read the chain without a
+  // lock and retry if the version moved (see read_chain).
   // Application traffic goes through darray::Client (src/serve), which adds
   // sessions, admission control, typed Status results, and hot-key caching;
   // calling these directly bypasses all of that (and, for hot keys, the
@@ -101,7 +120,6 @@ class BasicKvs {
     const uint64_t h = fnv1a(key);
     const uint64_t main_bucket = h % im.cfg.n_main_buckets;
     const uint8_t tag = tag_of(h);
-    const uint64_t lock_idx = main_bucket * kSlots;
 
     // Write the blob first (outside the bucket lock: the entry is the commit
     // point), allocated from the caller's node for locality.
@@ -110,7 +128,7 @@ class BasicKvs {
     if (offset == kNullOffset) return false;
     write_blob(offset, key, value);
 
-    im.entries.wlock(lock_idx);
+    begin_write(main_bucket);
     uint64_t bucket = main_bucket;
     int64_t empty_slot = -1;  // first free slot seen while probing the chain
     for (;;) {
@@ -126,11 +144,11 @@ class BasicKvs {
           // Update in place: free the old blob, commit the new entry.
           free_blob(entry);
           im.entries.set(idx, encode(tag, blob_len, offset));
-          im.entries.unlock(lock_idx);
+          end_write(main_bucket);
           return true;
         }
       }
-      const uint64_t next = im.entries.get(bucket * kSlots + kSlots - 1);
+      const uint64_t next = next_of(bucket);
       if (next == 0) break;
       bucket = next - 1;
     }
@@ -139,68 +157,46 @@ class BasicKvs {
       // Chain full: link a fresh overflow bucket and take its first slot.
       const uint64_t ob = alloc_overflow_bucket(me);
       if (ob == kNullOffset) {
-        im.entries.unlock(lock_idx);
+        end_write(main_bucket);
         im.slabs[me]->free(offset, static_cast<uint32_t>(blob_len));
         return false;
       }
-      im.entries.set(bucket * kSlots + kSlots - 1, ob + 1);
+      // The link keeps the slot's version bits (set on the main bucket only).
+      const uint64_t link = bucket * kSlots + kSlots - 1;
+      im.entries.set(link, (im.entries.get(link) & ~kNextMask) | (ob + 1));
       empty_slot = static_cast<int64_t>(ob * kSlots);
     }
     im.entries.set(static_cast<uint64_t>(empty_slot), encode(tag, blob_len, offset));
-    im.entries.unlock(lock_idx);
+    end_write(main_bucket);
     return true;
   }
 
   // Lookup (paper Fig. 11). Returns the value, or nullopt when absent.
   std::optional<std::string> get(std::string_view key) {
-    Impl& im = *impl_;
     const uint64_t h = fnv1a(key);
-    const uint64_t main_bucket = h % im.cfg.n_main_buckets;
     const uint8_t tag = tag_of(h);
-    const uint64_t lock_idx = main_bucket * kSlots;
-
-    im.entries.rlock(lock_idx);
-    std::optional<std::string> result;
-    uint64_t bucket = main_bucket;
-    for (;;) {
-      for (uint32_t s = 0; s < kEntriesPerBucket && !result; ++s) {
-        const uint64_t entry = im.entries.get(bucket * kSlots + s);
-        if (entry == 0 || entry_tag(entry) != tag) continue;
-        result = read_if_match(entry, key);
-      }
-      if (result) break;
-      const uint64_t next = im.entries.get(bucket * kSlots + kSlots - 1);  // overflow ptr
-      if (next == 0) break;
-      bucket = next - 1;
-    }
-    im.entries.unlock(lock_idx);
-    return result;
+    return read_chain(h % impl_->cfg.n_main_buckets, [&](uint64_t main_bucket) {
+      std::optional<std::string> result;
+      probe_chain(main_bucket, [&](uint64_t entry) {
+        if (entry_tag(entry) == tag) result = read_if_match(entry, key);
+        return result.has_value();
+      });
+      return result;
+    });
   }
 
   // Existence probe: like get() but transfers only the key bytes for
   // comparison, never the value.
   bool contains(std::string_view key) {
-    Impl& im = *impl_;
     const uint64_t h = fnv1a(key);
-    const uint64_t main_bucket = h % im.cfg.n_main_buckets;
     const uint8_t tag = tag_of(h);
-    const uint64_t lock_idx = main_bucket * kSlots;
-
-    im.entries.rlock(lock_idx);
-    bool found = false;
-    uint64_t bucket = main_bucket;
-    for (;;) {
-      for (uint32_t s = 0; s < kEntriesPerBucket && !found; ++s) {
-        const uint64_t entry = im.entries.get(bucket * kSlots + s);
-        if (entry != 0 && entry_tag(entry) == tag && key_matches(entry, key)) found = true;
-      }
-      if (found) break;
-      const uint64_t next = im.entries.get(bucket * kSlots + kSlots - 1);
-      if (next == 0) break;
-      bucket = next - 1;
-    }
-    im.entries.unlock(lock_idx);
-    return found;
+    return read_chain(h % impl_->cfg.n_main_buckets, [&](uint64_t main_bucket) {
+      bool found = false;
+      probe_chain(main_bucket, [&](uint64_t entry) {
+        return found = entry_tag(entry) == tag && key_matches(entry, key);
+      });
+      return found;
+    });
   }
 
   // Remove a key. Returns false when absent.
@@ -209,9 +205,8 @@ class BasicKvs {
     const uint64_t h = fnv1a(key);
     const uint64_t main_bucket = h % im.cfg.n_main_buckets;
     const uint8_t tag = tag_of(h);
-    const uint64_t lock_idx = main_bucket * kSlots;
 
-    im.entries.wlock(lock_idx);
+    begin_write(main_bucket);
     bool erased = false;
     uint64_t bucket = main_bucket;
     for (;;) {
@@ -227,11 +222,11 @@ class BasicKvs {
         }
       }
       if (erased) break;
-      const uint64_t next = im.entries.get(bucket * kSlots + kSlots - 1);
+      const uint64_t next = next_of(bucket);
       if (next == 0) break;
       bucket = next - 1;
     }
-    im.entries.unlock(lock_idx);
+    end_write(main_bucket);
     return erased;
   }
 
@@ -262,6 +257,74 @@ class BasicKvs {
   static uint32_t entry_size(uint64_t e) { return static_cast<uint32_t>((e >> 40) & 0xffff); }
   static uint64_t entry_offset(uint64_t e) { return e & ((1ull << 40) - 1); }
 
+  uint64_t next_of(uint64_t bucket) const {
+    return impl_->entries.get(bucket * kSlots + kSlots - 1) & kNextMask;
+  }
+
+  // Writer side of the bucket seqlock. begin_write takes the main bucket's
+  // write lock and makes its version odd; end_write makes it even again and
+  // unlocks. Every path out of a write section goes through end_write. The
+  // release fences order the odd version before the chain's stores, and
+  // those before the even version.
+  void begin_write(uint64_t main_bucket) {
+    Impl& im = *impl_;
+    const uint64_t vslot = main_bucket * kSlots + kSlots - 1;
+    im.entries.wlock(main_bucket * kSlots);
+    im.entries.set(vslot, im.entries.get(vslot) + kVersionOne);
+    std::atomic_thread_fence(std::memory_order_release);
+  }
+
+  void end_write(uint64_t main_bucket) {
+    Impl& im = *impl_;
+    const uint64_t vslot = main_bucket * kSlots + kSlots - 1;
+    std::atomic_thread_fence(std::memory_order_release);
+    im.entries.set(vslot, im.entries.get(vslot) + kVersionOne);
+    im.entries.unlock(main_bucket * kSlots);
+  }
+
+  // Reader side: run probe(main_bucket) between two reads of the version and
+  // keep its result only if the version was even and did not move. A probe
+  // may see a chain a writer is changing (a freed or reused blob, a half-
+  // linked overflow bucket); every access it makes stays in bounds and is
+  // atomic, and validation throws such a result away. After
+  // kOptimisticReads failed validations the probe runs under the read lock.
+  template <typename Probe>
+  auto read_chain(uint64_t main_bucket, Probe&& probe) {
+    Impl& im = *impl_;
+    const uint64_t vslot = main_bucket * kSlots + kSlots - 1;
+    for (uint32_t tries = 0; tries < kOptimisticReads; ++tries) {
+      const uint64_t before = im.entries.get(vslot);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if ((before >> kNextBits) & 1) {  // a writer is inside: let it finish
+        std::this_thread::yield();
+        continue;
+      }
+      auto result = probe(main_bucket);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (im.entries.get(vslot) == before) return result;
+    }
+    im.entries.rlock(main_bucket * kSlots);
+    auto result = probe(main_bucket);
+    im.entries.unlock(main_bucket * kSlots);
+    return result;
+  }
+
+  // Walk the chain from `main_bucket`, calling visit(entry) on each used
+  // entry until it returns true.
+  template <typename Visit>
+  void probe_chain(uint64_t main_bucket, Visit&& visit) {
+    Impl& im = *impl_;
+    for (uint64_t bucket = main_bucket;;) {
+      for (uint32_t s = 0; s < kEntriesPerBucket; ++s) {
+        const uint64_t entry = im.entries.get(bucket * kSlots + s);
+        if (entry != 0 && visit(entry)) return;
+      }
+      const uint64_t next = next_of(bucket);
+      if (next == 0) return;
+      bucket = next - 1;
+    }
+  }
+
   void write_blob(uint64_t offset, std::string_view key, std::string_view value) {
     Impl& im = *impl_;
     std::vector<uint8_t> blob(2 + key.size() + value.size());
@@ -269,6 +332,10 @@ class BasicKvs {
     blob[1] = static_cast<uint8_t>(key.size() >> 8);
     std::memcpy(blob.data() + 2, key.data(), key.size());
     std::memcpy(blob.data() + 2 + key.size(), value.data(), value.size());
+    // A reader may still be copying this range under a version that the put
+    // which freed it has since bumped: fence so that a reader which sees
+    // these bytes also sees that bump (read_chain).
+    std::atomic_thread_fence(std::memory_order_release);
     const Status st = im.bytes.set_range(offset, std::span<const uint8_t>(blob));
     DARRAY_ASSERT(st == Status::kOk);  // offset comes from the KVS's own slab
   }

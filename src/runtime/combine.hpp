@@ -84,6 +84,40 @@ inline void atomic_store_elem(std::byte* addr, uint32_t elem_size, uint64_t bits
   }
 }
 
+// Bulk copies between array memory and a private buffer (get_range /
+// set_range). The array side is touched only through relaxed atomics, a word
+// at a time where the array address is 8-byte aligned: a version-validated
+// reader (the KVS's lock-free get) may copy bytes that a writer on the same
+// node is storing, and that copy must be race-free even though validation
+// then discards it.
+inline void atomic_copy_out(std::byte* dst, const std::byte* src, size_t n) {
+  size_t i = 0;
+  for (; i < n && (reinterpret_cast<uintptr_t>(src + i) & 7) != 0; ++i)
+    dst[i] = std::atomic_ref<const std::byte>(src[i]).load(std::memory_order_relaxed);
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t w = std::atomic_ref<const uint64_t>(
+                           *reinterpret_cast<const uint64_t*>(src + i))
+                           .load(std::memory_order_relaxed);
+    std::memcpy(dst + i, &w, 8);
+  }
+  for (; i < n; ++i)
+    dst[i] = std::atomic_ref<const std::byte>(src[i]).load(std::memory_order_relaxed);
+}
+
+inline void atomic_copy_in(std::byte* dst, const std::byte* src, size_t n) {
+  size_t i = 0;
+  for (; i < n && (reinterpret_cast<uintptr_t>(dst + i) & 7) != 0; ++i)
+    std::atomic_ref<std::byte>(dst[i]).store(src[i], std::memory_order_relaxed);
+  for (; i + 8 <= n; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, src + i, 8);
+    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(dst + i))
+        .store(w, std::memory_order_relaxed);
+  }
+  for (; i < n; ++i)
+    std::atomic_ref<std::byte>(dst[i]).store(src[i], std::memory_order_relaxed);
+}
+
 // --- combine buffer ----------------------------------------------------------
 //
 // A remote Operated participant accumulates operands per element in a combine

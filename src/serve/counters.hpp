@@ -12,9 +12,9 @@
 namespace darray::serve {
 
 struct ServeCounters {
-  std::atomic<uint64_t> accepted{0};         // admitted into a dispatcher queue
+  std::atomic<uint64_t> accepted{0};         // admitted: queued, or run inline
   std::atomic<uint64_t> shed{0};             // refused at admission (kBusy sent)
-  std::atomic<uint64_t> completed{0};        // responses produced by workers
+  std::atomic<uint64_t> completed{0};        // responses produced (worker or inline)
   std::atomic<uint64_t> busy_replies{0};     // kBusy responses observed by sessions
   std::atomic<uint64_t> hot_promotions{0};   // keys promoted into the hot cache
   std::atomic<uint64_t> hot_hits{0};         // gets answered from the hot cache
@@ -24,6 +24,7 @@ struct ServeCounters {
   std::atomic<uint64_t> sessions_opened{0};
   std::atomic<uint64_t> reqs_wire{0};        // requests that crossed the fabric
   std::atomic<uint64_t> reqs_local{0};       // owner-local, fabric bypassed
+  std::atomic<uint64_t> reqs_inline{0};      // owner-local, run on the caller
   std::atomic<int64_t> inflight{0};          // queued + executing, cluster-wide
 };
 
@@ -48,6 +49,7 @@ inline void register_serve_counters(obs::StatsRegistry& reg,
     s.add("serve.sessions_opened", ld(c->sessions_opened));
     s.add("serve.reqs_wire", ld(c->reqs_wire));
     s.add("serve.reqs_local", ld(c->reqs_local));
+    s.add("serve.reqs_inline", ld(c->reqs_inline));
     // ".gauge" marks a point sample: the sampler must not difference it, and
     // /metrics renders it as a gauge. Clamp transient negatives (inflight is
     // incremented and decremented on different threads) to zero.

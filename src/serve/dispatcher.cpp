@@ -45,6 +45,30 @@ void RequestDispatcher::stop() {
 bool RequestDispatcher::offer(Job&& job) {
   std::lock_guard lk(mu_);
   if (stopping_) return false;
+  return enqueue_locked(std::move(job));
+}
+
+bool RequestDispatcher::offer_local(Job&& job) {
+  const ThreadCtx& ctx = this_thread_ctx();
+  if (ctx.cluster != &cluster_ || ctx.node != node_) return offer(std::move(job));
+  {
+    std::lock_guard lk(mu_);
+    if (stopping_) return false;
+    auto [it, fresh] = by_session_.try_emplace(job.session_key);
+    // Something of this session is queued or running: FIFO puts this job
+    // behind it.
+    if (!fresh) return enqueue_locked(std::move(job));
+    it->second.running = true;
+    ++queued_;
+  }
+  counters_.inflight.fetch_add(1, std::memory_order_relaxed);
+  counters_.reqs_inline.fetch_add(1, std::memory_order_relaxed);
+  if (job.trace) job.t_admit = now_ns();  // admitted and dequeued at once
+  run_job(job);
+  return true;
+}
+
+bool RequestDispatcher::enqueue_locked(Job&& job) {
   // Capacity check happens before anything is moved, so a shed leaves `job`
   // valid for the caller's kBusy reply.
   if (cfg_.accept_queue_cap != 0 && queued_ >= cfg_.accept_queue_cap) return false;
@@ -55,8 +79,8 @@ bool RequestDispatcher::offer(Job&& job) {
   const uint64_t skey = job.session_key;
   sq.jobs.push_back(std::move(job));
   // A session becomes ready only when its new head can run: nothing running
-  // and this is the only queued job. Otherwise the completing worker (or an
-  // earlier queued job) re-arms it.
+  // and this is the only queued job. Otherwise the completing job (worker or
+  // inline) or an earlier queued job re-arms it.
   if (!sq.running && sq.jobs.size() == 1) {
     ready_.push_back(skey);
     cv_.notify_one();
@@ -86,41 +110,41 @@ void RequestDispatcher::worker_main(uint32_t idx) {
       job = std::move(sq.jobs.front());
       sq.jobs.pop_front();
     }
-    if (job.trace) job.t_dequeue = now_ns();
+    obs::set_prof_phase(obs::ProfPhase::kBusy);
+    run_job(job);
+  }
+}
 
-    Response resp;
-    // Profile-context op tag: samples taken while this request executes fold
-    // under (busy:get) / (busy:set) instead of the bare worker loop.
-    {
-      const obs::OpKind k =
-          job.op == ClientOp::kGet ? obs::OpKind::kGet : obs::OpKind::kSet;
-      obs::ProfOpScope prof_op(static_cast<uint8_t>(k));
-      obs::set_prof_phase(obs::ProfPhase::kBusy);
-      execute(job, resp);
-    }
-    if (job.trace) {
-      resp.j.t_admit = job.t_admit;
-      resp.j.t_dequeue = job.t_dequeue;
-      resp.j.t_backend = now_ns();
-    }
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    counters_.completed.fetch_add(1, std::memory_order_relaxed);
-    counters_.inflight.fetch_sub(1, std::memory_order_relaxed);
-    respond_(job, std::move(resp));
+void RequestDispatcher::run_job(Job& job) {
+  if (job.trace) job.t_dequeue = now_ns();
+  Response resp;
+  // Profile-context op tag: samples taken while this request executes fold
+  // under (busy:get) / (busy:set) instead of the bare worker loop.
+  {
+    const obs::OpKind k = job.op == ClientOp::kGet ? obs::OpKind::kGet : obs::OpKind::kSet;
+    obs::ProfOpScope prof_op(static_cast<uint8_t>(k));
+    execute(job, resp);
+  }
+  if (job.trace) {
+    resp.j.t_admit = job.t_admit;
+    resp.j.t_dequeue = job.t_dequeue;
+    resp.j.t_backend = now_ns();
+  }
+  executed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.completed.fetch_add(1, std::memory_order_relaxed);
+  counters_.inflight.fetch_sub(1, std::memory_order_relaxed);
+  respond_(job, std::move(resp));
 
-    {
-      std::lock_guard lk(mu_);
-      --queued_;
-      auto it = by_session_.find(job.session_key);
-      DARRAY_ASSERT(it != by_session_.end());
-      it->second.running = false;
-      if (it->second.jobs.empty()) {
-        by_session_.erase(it);  // keep the table bounded by live sessions
-      } else {
-        ready_.push_back(job.session_key);
-        cv_.notify_one();
-      }
-    }
+  std::lock_guard lk(mu_);
+  --queued_;
+  auto it = by_session_.find(job.session_key);
+  DARRAY_ASSERT(it != by_session_.end());
+  it->second.running = false;
+  if (it->second.jobs.empty()) {
+    by_session_.erase(it);  // keep the table bounded by live sessions
+  } else {
+    ready_.push_back(job.session_key);
+    cv_.notify_one();
   }
 }
 

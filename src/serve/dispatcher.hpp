@@ -1,12 +1,17 @@
 // Per-node request dispatcher: bounded admission, per-session FIFO execution
 // across a worker pool, and the owner-side hot-key cache.
 //
-// Runtime threads (and local session threads) call offer() — a constant-time
-// admit-or-shed decision. Dedicated worker threads, bound to the node's
-// thread context, pop work and execute it against the KVS backend, then hand
-// the response to the service's respond callback. Per-session ordering is
-// preserved even with several workers: a session's next request becomes
-// runnable only after its previous one completes.
+// Two ways in. The progress thread's kClientReq sink and unbound local
+// callers (the TCP gateway, open-loop load generators, a test's main
+// thread) call offer() — a constant-time admit-or-shed decision; dedicated
+// worker threads, bound to the node's thread context, pop the work. An application thread
+// bound to this node submitting for one of its own sessions calls
+// offer_local(), which runs the job on the caller when the session has
+// nothing queued or running here — no hand-off, and never shed — and is
+// offer() otherwise. Both paths run one job body (run_job): execute against
+// the KVS backend, count, then hand the response to the service's respond
+// callback. Per-session ordering holds on both: a session's next request
+// becomes runnable only after its previous one completes.
 #pragma once
 
 #include <array>
@@ -65,6 +70,14 @@ class RequestDispatcher {
   // safe from runtime threads.
   bool offer(Job&& job);
 
+  // offer() for a request whose session lives on this node. Runs the job on
+  // the calling thread (and returns true once it has responded) when the
+  // caller is an application thread bound to this node, the session has no
+  // job queued or running here, and the dispatcher is not stopping; the
+  // inline job counts as queued while it runs but is never shed. Otherwise
+  // it is offer().
+  bool offer_local(Job&& job);
+
   uint64_t executed() const { return executed_; }
 
  private:
@@ -74,6 +87,12 @@ class RequestDispatcher {
   };
 
   DARRAY_PROFILE_ANCHOR void worker_main(uint32_t idx);
+  // Admit `job` behind its session (mu_ held). False: the queue is full.
+  bool enqueue_locked(Job&& job);
+  // The one job body, for a job whose session is marked running: dequeue
+  // stamp, execute, backend stamp, counters, respond, then release the
+  // session (re-arm it if more of its jobs are queued).
+  void run_job(Job& job);
   void execute(Job& job, Response& out);
 
   // Hot-key cache (owner side). `heat_` is a fixed array of hashed read

@@ -82,8 +82,10 @@ Status ServiceImpl::submit(SessionCore& s, uint64_t seq, const Request& req,
 
   const rt::NodeId owner = backend_->owner_of(req.key);
   if (owner == s.node) {
-    // No self-QP in the simulated fabric: hand the job straight to the local
-    // dispatcher. A shed is reported synchronously.
+    // Owner-local: no fabric hop (the simulated fabric has no self-QP). A
+    // bound application thread of this node runs the job itself when its
+    // session has nothing queued (offer_local); any other caller hands it to
+    // the dispatcher's queue. A shed is reported synchronously.
     counters_->reqs_local.fetch_add(1, std::memory_order_relaxed);
     Job job;
     job.session_key = session_key_of(static_cast<uint16_t>(s.node), s.id);
@@ -95,10 +97,13 @@ Status ServiceImpl::submit(SessionCore& s, uint64_t seq, const Request& req,
     job.value = req.value;
     job.trace = trace;
     job.t_submit = t_submit;
-    if (dispatchers_[owner]->offer(std::move(job))) {
+    if (dispatchers_[owner]->offer_local(std::move(job))) {
       counters_->accepted.fetch_add(1, std::memory_order_relaxed);
       return Status::kOk;
     }
+    // A dispatcher refuses everything once shutdown() has begun: that is
+    // not a shed.
+    if (down_.load()) return Status::kUnavailable;
     counters_->shed.fetch_add(1, std::memory_order_relaxed);
     return Status::kBusy;
   }
@@ -155,12 +160,14 @@ void ServiceImpl::on_client_msg(rt::NodeId n, net::RpcMessage&& m) {
 }
 
 void ServiceImpl::respond(rt::NodeId from, const Job& job, Response&& r) {
-  if (down_.load(std::memory_order_relaxed)) return;
   if (job.trace) r.j.owner = static_cast<uint16_t>(from);
   if (job.origin == from) {
+    // No fabric involved, so this holds after shutdown() too: a job that a
+    // bound caller was running inline when shutdown began still resolves.
     deliver_local(from, job.session, job.seq, std::move(r));
     return;
   }
+  if (down_.load(std::memory_order_relaxed)) return;
   net::TxRequest tx;
   tx.dst = job.origin;
   tx.hdr.type = net::MsgType::kClientResp;

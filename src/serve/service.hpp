@@ -2,7 +2,8 @@
 // RequestDispatcher per node, installs the kClientReq/kClientResp sinks on
 // every NodeRuntime, and moves requests/responses between session cores and
 // owner dispatchers — over the fabric when owner != origin, directly when the
-// owner is local (the simulated fabric has no self-QP).
+// owner is local (the simulated fabric has no self-QP; a caller bound to that
+// node runs the request itself, RequestDispatcher::offer_local).
 //
 // One front door per cluster: the service claims every node's client-message
 // sink. Create it after the cluster is up; shut it down (or let the last
@@ -43,8 +44,10 @@ class ServiceImpl {
   void close_session(const SessionCore& s);
 
   // Route one request from session `s`. Returns kOk when the request is in
-  // flight (response arrives via s.deliver), kTooLarge / kMalformed on guard
-  // failures, kBusy when the local owner shed it synchronously.
+  // flight or already answered (the response arrives via s.deliver; an
+  // owner-local request run on the caller is delivered before this returns),
+  // kTooLarge / kMalformed on guard failures, kBusy when the local owner shed
+  // it synchronously, kUnavailable once shutdown() has begun.
   //
   // `trace`/`t_submit` are the journey identity stamped by the client; both 0
   // when journey tracing is off. On the wire they piggyback on free MsgHeader

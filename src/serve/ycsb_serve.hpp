@@ -14,6 +14,7 @@
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
+#include "core/context.hpp"
 #include "kvs/ycsb.hpp"
 #include "runtime/cluster.hpp"
 #include "serve/client.hpp"
@@ -26,6 +27,10 @@ struct ServeYcsbResult {
   double elapsed_s = 0;
 };
 
+// Client threads are bound to their session's node, like any application
+// thread: a request whose key that node owns runs on the client's own thread
+// (RequestDispatcher::offer_local), the path perfbench's kvs_zipf measures.
+
 // Load phase through the front door, so even preload traffic is session
 // traffic. Keys are spread round-robin across client nodes, like YCSB's load
 // phase.
@@ -34,6 +39,7 @@ inline void ycsb_load_serve(KvsService& svc, const kvs::YcsbConfig& cfg) {
   std::vector<std::thread> ts;
   for (uint32_t n = 0; n < nodes; ++n) {
     ts.emplace_back([&, n] {
+      bind_thread(svc.cluster(), n);
       Client cli = Client::connect(svc, {.node = n, .window = 16});
       std::deque<OpHandle> q;
       for (uint64_t k = n; k < cfg.n_keys; k += nodes) {
@@ -68,6 +74,7 @@ inline ServeYcsbResult run_ycsb_serve(KvsService& svc, const kvs::YcsbConfig& cf
   for (rt::NodeId n = 0; n < cluster.num_nodes(); ++n) {
     for (uint32_t t = 0; t < cfg.threads_per_node; ++t) {
       ts.emplace_back([&, n, t] {
+        bind_thread(cluster, n);
         Client cli = Client::connect(svc, {.node = n, .window = window});
         Xoshiro256 rng(cfg.seed * 1000003 + n * 131 + t);
         ZipfGenerator zipf(cfg.n_keys, cfg.zipf_theta);

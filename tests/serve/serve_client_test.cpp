@@ -1,8 +1,12 @@
 // darray::Client + KvsService basics: typed round-trips, cross-node routing,
-// pipelined FIFO ordering, the in-flight window, and payload guards.
+// pipelined FIFO ordering, the in-flight window, payload guards, and owner-
+// local requests that run on a bound caller.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <deque>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kvs/kvs.hpp"
@@ -145,6 +149,119 @@ TEST(ServeClient, ManySessionsSharedService) {
   }
   EXPECT_EQ(svc.counters().sessions_opened.load(), 8u);
   svc.shutdown();
+}
+
+// A key the KVS places on `owner`'s partition.
+std::string key_owned_by(const kvs::DKvs& kvs, rt::NodeId owner, const std::string& stem) {
+  for (int i = 0;; ++i) {
+    std::string key = stem + std::to_string(i);
+    if (kvs.owner_of(key) == owner) return key;
+  }
+}
+
+TEST(ServeClient, OwnerLocalRequestsRunOnTheCaller) {
+  // A client thread bound to the key owner's node runs its requests itself;
+  // per-session FIFO, read-your-writes through the hot-key cache and the
+  // counters must come out as they do through the dispatcher's queue.
+  rt::Cluster cluster(testing::small_cfg(2));
+  ServeConfig cfg = test_cfg();
+  cfg.workers_per_node = 2;
+  cfg.hot_key_enabled = true;
+  cfg.hot_promote_threshold = 4;
+  auto kvs = kvs::DKvs::create(cluster, tiny_kvs());
+  auto svc = KvsService::create(cluster, kvs, cfg);
+  const std::string fifo_key = key_owned_by(kvs, 0, "fifo");
+  const std::string hot_key = key_owned_by(kvs, 0, "hot");
+  const std::string remote_key = key_owned_by(kvs, 1, "remote");
+
+  uint64_t local_reqs = 0;
+  std::thread app([&] {
+    bind_thread(cluster, 0);
+    Client cli = Client::connect(svc, {.node = 0, .window = 32});
+    for (int round = 0; round < 5; ++round) {
+      std::vector<OpHandle> hs;
+      for (int i = 0; i <= 20; ++i)
+        hs.push_back(cli.async_put(fifo_key, "v" + std::to_string(round) + "." +
+                                                 std::to_string(i)));
+      OpHandle last = cli.async_get(fifo_key);
+      local_reqs += hs.size() + 1;
+      for (auto& h : hs) EXPECT_EQ(h.get().status, Status::kOk);
+      const Response r = last.get();
+      ASSERT_EQ(r.status, Status::kOk);
+      EXPECT_EQ(r.value, "v" + std::to_string(round) + ".20");
+    }
+    std::string v;
+    for (int gen = 0; gen < 10; ++gen) {
+      const std::string want = "gen" + std::to_string(gen);
+      ASSERT_EQ(cli.put(hot_key, want), Status::kOk);
+      for (int i = 0; i < 8; ++i) {  // promote, then keep reading
+        ASSERT_EQ(cli.get(hot_key, v), Status::kOk);
+        ASSERT_EQ(v, want) << "stale hot read after an acknowledged put, gen " << gen;
+      }
+      local_reqs += 9;
+    }
+    // A key the other node owns still crosses the fabric.
+    ASSERT_EQ(cli.put(remote_key, "far"), Status::kOk);
+    ASSERT_EQ(cli.get(remote_key, v), Status::kOk);
+    EXPECT_EQ(v, "far");
+  });
+  app.join();
+
+  ServeCounters& c = svc.counters();
+  EXPECT_GT(c.hot_hits.load(), 0u);
+  EXPECT_EQ(c.reqs_local.load(), local_reqs);
+  EXPECT_EQ(c.reqs_inline.load(), local_reqs);
+  EXPECT_EQ(c.reqs_wire.load(), 2u);
+
+  // An unbound caller (this thread) keeps the queue, even for node 0's keys.
+  Client unbound = Client::connect(svc, {.node = 0});
+  std::string v;
+  ASSERT_EQ(unbound.get(fifo_key, v), Status::kOk);
+  EXPECT_EQ(v, "v4.20");
+  EXPECT_EQ(c.reqs_local.load(), local_reqs + 1);
+  EXPECT_EQ(c.reqs_inline.load(), local_reqs);
+  svc.shutdown();
+}
+
+TEST(ServeClient, ShutdownWhileBoundClientsSubmit) {
+  // Bound clients on both nodes keep submitting while shutdown() runs: every
+  // handle still resolves — completed, refused as unavailable, or timed out
+  // (a wire response that shutdown dropped) — and nothing crashes.
+  rt::Cluster cluster(testing::small_cfg(2));
+  ServeConfig cfg = test_cfg();
+  cfg.workers_per_node = 2;
+  cfg.accept_queue_cap = 0;  // no shedding: kBusy would be a bug here
+  auto svc = KvsService::create(cluster, kvs::DKvs::create(cluster, tiny_kvs()), cfg);
+  std::atomic<bool> down{false};
+  std::atomic<uint64_t> ok{0}, unavailable{0}, timed_out{0}, other{0};
+  testing::run_on_nodes_mt(cluster, 2, [&](rt::NodeId n, uint32_t t) {
+    Client cli = Client::connect(svc, {.node = n, .window = 8, .timeout_ns = 300'000'000});
+    std::deque<OpHandle> q;
+    auto harvest = [&] {
+      switch (q.front().get().status) {
+        case Status::kOk: ++ok; break;
+        case Status::kUnavailable: ++unavailable; break;
+        case Status::kTimeout: ++timed_out; break;
+        default: ++other; break;
+      }
+      q.pop_front();
+    };
+    // Run until well past the shutdown, so submissions straddle it.
+    int after_down = 0;
+    for (uint64_t i = 0; after_down < 200; ++i) {
+      if (down.load()) ++after_down;
+      q.push_back(cli.async_put("k" + std::to_string((i * 7 + n + t) % 32), "v"));
+      if (q.size() >= 8) harvest();
+      if (n == 0 && t == 0 && i == 300) {
+        svc.shutdown();
+        down = true;
+      }
+    }
+    while (!q.empty()) harvest();
+  });
+  EXPECT_EQ(other.load(), 0u);
+  EXPECT_GT(ok.load(), 0u);
+  EXPECT_GT(unavailable.load(), 0u);
 }
 
 }  // namespace
