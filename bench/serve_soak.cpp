@@ -5,7 +5,7 @@
 //   build/bench/serve_soak [--json] [--metrics-dump] [--profile]
 //
 // Phases (each on a fresh cluster + service):
-//   calibrate      closed-loop capacity estimate (not reported)
+//   calibrate      capacity of the open-loop path (not reported)
 //   admission_on   open-loop at ~2x capacity with a mid-run burst, bounded
 //                  accept queue: excess arrivals shed with kBusy, tail of the
 //                  *served* requests stays bounded
@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <deque>
 #include <fstream>
+#include <limits>
 
 #include "bench/bench_util.hpp"
 #include "kvs/kvs.hpp"
@@ -81,13 +82,6 @@ struct Fleet {
   }
   ~Fleet() { svc.shutdown(); }
 };
-
-// Closed-loop capacity estimate on a service configured like the soak phases.
-double calibrate_kops(uint32_t nodes, const ServeConfig& scfg, YcsbConfig ycfg) {
-  Fleet f(nodes, scfg, ycfg);
-  ycfg.ops_per_thread = env_u64("DARRAY_BENCH_CAL_OPS", 3000);
-  return run_ycsb_serve(f.svc, ycfg, /*window=*/8).kops;
-}
 
 // Open-loop phase: `rate_ops` total arrivals/s split across one session per
 // node, with a 3x burst in the middle 20% of the run. Sojourn = completion
@@ -169,6 +163,18 @@ PhaseResult run_open_loop(uint32_t nodes, const ServeConfig& scfg, YcsbConfig yc
   r.goodput_kops =
       static_cast<double>(good.load()) / (static_cast<double>(t1 - t0) / 1e9) / 1e3;
   return r;
+}
+
+// Capacity of the path the open-loop phases load: their unbound sessions
+// queue every request to the dispatcher workers (a bound client would run
+// owner-local requests itself, past the workers). So it is the open-loop
+// phase itself with no arrival schedule (every session keeps its window
+// full) and an unbounded queue (nothing sheds); its goodput is the capacity.
+double calibrate_kops(uint32_t nodes, ServeConfig scfg, const YcsbConfig& ycfg) {
+  scfg.accept_queue_cap = 0;
+  const uint64_t ops = env_u64("DARRAY_BENCH_CAL_OPS", 3000) * nodes;
+  return run_open_loop(nodes, scfg, ycfg, std::numeric_limits<double>::infinity(), ops)
+      .goodput_kops;
 }
 
 // Hot-key phase: closed-loop sync gets (so each get is individually timed)

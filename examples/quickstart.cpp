@@ -13,7 +13,7 @@
 using namespace darray;
 
 int main() {
-  // 1. A simulated 4-node RDMA cluster (each "node" = runtime threads + one
+  // 1. A simulated 4-node RDMA cluster (each "node" = engine shards + one
   //    comm progress thread, joined by the simulated fabric).
   rt::ClusterConfig cfg;
   cfg.num_nodes = 4;

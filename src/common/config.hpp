@@ -16,11 +16,13 @@ namespace darray {
 struct ClusterConfig {
   // --- topology -------------------------------------------------------------
   uint32_t num_nodes = 2;
-  uint32_t runtime_threads_per_node = 1;  // paper uses several; 1 fits this host
+  // Engine shards per node (chunk % R): the paper's runtime threads, run by
+  // submitters and the node's progress thread rather than threads of their own.
+  uint32_t runtime_threads_per_node = 1;
 
   // --- array / cache --------------------------------------------------------
   uint32_t chunk_elems = 512;        // paper default granularity
-  // Cachelines per runtime-thread cache region (a cacheline holds one chunk).
+  // Cachelines per engine-shard cache region (a cacheline holds one chunk).
   uint32_t cachelines_per_region = 256;
   double low_watermark = 0.30;       // start reclaiming below this free ratio
   double high_watermark = 0.50;      // reclaim until this free ratio

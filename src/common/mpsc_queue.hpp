@@ -2,8 +2,8 @@
 // Doorbell used to park consumer threads.
 //
 // These queues are the arrows in the paper's Fig. 2: application threads →
-// runtime (local-req queue), progress thread → runtime (RPC-msg queue),
-// runtime → Tx pass (RDMA-req queue). All are MPSC: one pass at a time
+// engine (local-req queue), progress thread → engine (RPC-msg queue),
+// engine → Tx pass (RDMA-req queue). All are MPSC: one pass at a time
 // consumes a queue, under the lock that guards the protocol state it feeds
 // (the engine lock, the Tx lock). Whichever thread holds that lock is the
 // consumer.
@@ -55,6 +55,30 @@ class Doorbell {
   std::atomic<uint32_t> seq_{0};
   // Single-consumer; mutable so parking keeps the observer-style const API.
   mutable std::atomic<bool> waiting_{false};
+};
+
+// One of several work sources behind a consumer's Doorbell: ring() marks the
+// source pending, then rings. The consumer snapshots the doorbell, take()s
+// each source's mark and runs the marked ones, and parks only on an unchanged
+// snapshot; a ring it missed in take() has changed the snapshot.
+class PendingBell {
+ public:
+  explicit PendingBell(Doorbell* bell) : bell_(bell) {}
+
+  void ring() {
+    pending_.store(true);
+    bell_->ring();
+  }
+
+  // Consumer: clear the mark; returns whether it was set.
+  bool take() { return pending_.load() && pending_.exchange(false); }
+
+  // Consumer: mark the source again for its own next round, waking no one.
+  void keep() { pending_.store(true); }
+
+ private:
+  Doorbell* bell_;
+  std::atomic<bool> pending_{false};
 };
 
 // T must be default-constructible (for the stub node) and movable.

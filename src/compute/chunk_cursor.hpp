@@ -3,7 +3,7 @@
 // A ChunkCursor walks [begin, end) of a DArray in fixed-size chunks. Each
 // next() hands the kernel a View into a private buffer; in overlap mode the
 // cursor first issues prefetch_range() for the next `prefetch_depth` buffers,
-// so the engine's Tx/Rx/runtime threads stream chunk k+1..k+d in from their
+// so engine passes and progress threads stream chunk k+1..k+d in from their
 // homes while the application thread's kernel consumes chunk k. The fetch
 // pipeline is the existing range/prefetch machinery — the cursor adds no
 // threads of its own, it only keeps the read-ahead window full.

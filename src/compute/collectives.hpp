@@ -50,7 +50,7 @@ T from_bits(uint64_t b) {
 
 // One edge of the reduction tree. The sequence number rides in both txn_id
 // (the board key) and chunk — the progress thread routes protocol messages
-// to a runtime thread by hdr.chunk, so consecutive collectives spread over
+// to an engine shard by hdr.chunk, so consecutive collectives spread over
 // them.
 inline void send_part(rt::Cluster& cl, rt::NodeId self, rt::NodeId dst, uint32_t seq,
                       uint32_t frag, uint32_t nfrags, uint64_t bits,

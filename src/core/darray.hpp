@@ -229,7 +229,7 @@ class DArray {
     const rt::ChunkId c1 = meta_->chunk_of(first + count - 1);
     for (rt::ChunkId c = c0; c <= c1; ++c) {
       if (meta_->home_of_chunk(c) == ctx.node) continue;
-      // Rough pre-filter; the owning runtime thread re-checks before issuing.
+      // Rough pre-filter; the owning engine re-checks before issuing.
       if (as->dentries[c].state.load(std::memory_order_relaxed) !=
           rt::DentryState::kInvalid)
         continue;

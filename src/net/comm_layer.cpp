@@ -82,12 +82,13 @@ void release_source(std::atomic<uint32_t>* posted_flag) {
 }  // namespace
 
 CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& cfg,
-                     rdma::Device* device, DispatchFn dispatch)
+                     rdma::Device* device, DispatchFn dispatch, ProgressFn progress)
     : node_id_(node_id),
       num_nodes_(num_nodes),
       cfg_(cfg),
       device_(device),
       dispatch_(std::move(dispatch)),
+      progress_(std::move(progress)),
       max_msg_bytes_(compute_max_msg_bytes(cfg)),
       qp_to_peer_(num_nodes, nullptr),
       outstanding_(num_nodes),
@@ -1157,6 +1158,8 @@ void CommLayer::progress_main() {
     // Ring first: it must be armed before anything here can post.
     bool progressed = arm_recv_ring();
     progressed |= dispatch_backlog();
+    const Progress owner = progress_ ? progress_() : Progress{};
+    progressed |= owner.progressed;
     uint64_t due = 0;
     {
       std::unique_lock<std::mutex> lk(tx_mu_, std::try_to_lock);
@@ -1171,8 +1174,15 @@ void CommLayer::progress_main() {
       }
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    // A pass that waited on a peer's ring may have filled the backlog.
-    if (!progressed && rx_backlog_.empty()) park(snap, due);
+    // A pass that waited on a peer's ring may have filled the backlog. An
+    // owner that polls waits on another thread (a reference holder); on one
+    // CPU a spin would starve it, so the loop yields.
+    if (!progressed && rx_backlog_.empty()) {
+      if (owner.poll)
+        std::this_thread::yield();
+      else
+        park(snap, due);
+    }
   }
   duty_.on_stop();
 }

@@ -2,9 +2,11 @@
 // queue drained by a Tx pass that posts work to the NIC with selective
 // signaling, and one progress thread that polls the completion queues and
 // delivers parsed RPC messages to the runtime. The paper's separate Tx and Rx
-// threads are one polling progress engine here (DESIGN.md §6). The QP count
-// is nodes² × 1, independent of the number of application/runtime threads —
-// the paper's n²·c (c = networking threads) instead of n²·t.
+// threads are one polling progress engine here (DESIGN.md §6), and it is the
+// node's only service thread: it also runs the engine passes its owner's
+// submitters leave (ProgressFn). The QP count is nodes² × 1, independent of
+// the number of application threads and engine shards — the paper's n²·c
+// (c = networking threads) instead of n²·t.
 //
 // Who runs the Tx pass (docs/perf.md): post() enqueues, then runs the pass
 // itself when it can take the Tx lock without waiting, so an idle link costs
@@ -97,9 +99,23 @@ class CommLayer {
   // deadline exhausted, or an untracked WR failed). The handler must not
   // block; with no handler installed the comm layer fail-stops.
   using ErrorFn = std::function<void(const CommError&)>;
+  // The owner's work on the progress thread (NodeRuntime: the engine passes
+  // submitters left), run once per loop iteration outside the Tx lock and
+  // before the Tx pass, so what it posts goes out in the same iteration. The
+  // owner asks for a call by ringing bell(). `poll` makes the loop yield
+  // instead of parking: the owner waits on something that never rings.
+  struct Progress {
+    bool progressed = false;
+    bool poll = false;
+    void operator|=(Progress o) {
+      progressed |= o.progressed;
+      poll |= o.poll;
+    }
+  };
+  using ProgressFn = std::function<Progress()>;
 
   CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& cfg,
-            rdma::Device* device, DispatchFn dispatch);
+            rdma::Device* device, DispatchFn dispatch, ProgressFn progress = {});
   ~CommLayer();
 
   CommLayer(const CommLayer&) = delete;
@@ -108,6 +124,7 @@ class CommLayer {
   rdma::Device* device() const { return device_; }
   rdma::CompletionQueue* send_cq() { return &send_cq_; }
   rdma::CompletionQueue* recv_cq() { return &recv_cq_; }
+  Doorbell& bell() { return bell_; }
 
   // Topology wiring (before start()).
   void set_qp(uint32_t peer, rdma::QueuePair* qp);
@@ -379,11 +396,12 @@ class CommLayer {
   const ClusterConfig cfg_;
   rdma::Device* device_;
   DispatchFn dispatch_;
+  ProgressFn progress_;
   ErrorFn error_fn_;
   const size_t max_msg_bytes_;
 
-  // The progress thread's doorbell: both CQs ring it, and so does a poster
-  // that leaves it work.
+  // The progress thread's doorbell: both CQs ring it, and so do a poster
+  // that leaves it work and the owner (ProgressFn).
   Doorbell bell_;
   rdma::CompletionQueue send_cq_{&bell_};
   rdma::CompletionQueue recv_cq_{&bell_};

@@ -55,14 +55,14 @@ enum class MsgType : uint8_t {
 
   // --- array-compute collectives (src/compute) -------------------------------
   kReducePart,   // one edge of a reduction tree: txn_id/chunk = collective
-                 //   sequence number (chunk doubles as the runtime-thread
+                 //   sequence number (chunk doubles as the engine-shard
                  //   routing key), addr = scalar partial bits, rkey = fragment
                  //   index, aux = fragment count, payload = per-chunk partials
                  //   (deterministic mode only)
 
   // --- client-serving plane (src/serve) --------------------------------------
   kClientReq,    // session → owner dispatcher: txn_id = session id, addr =
-                 //   request sequence, chunk = hash spread (runtime-thread
+                 //   request sequence, chunk = hash spread (engine-shard
                  //   routing only), payload = [WireReq][key][value]. Journey
                  //   piggyback (obs v4): trace = journey id, aux:rkey = the
                  //   origin's t_submit stamp split hi:lo (all zero when
@@ -109,13 +109,13 @@ struct MsgHeader {
 };
 static_assert(sizeof(MsgHeader) == 48);
 
-// A parsed inbound message as delivered to a runtime thread.
+// A parsed inbound message as delivered to an engine shard.
 struct RpcMessage {
   MsgHeader hdr;
   PayloadBuf payload;
 };
 
-// An outbound request handed from a runtime thread to the Tx pass: an
+// An outbound request handed from an engine pass to the Tx pass: an
 // optional one-sided data WRITE followed (FIFO on the same QP) by the
 // two-sided header+payload SEND.
 struct TxRequest {

@@ -5,7 +5,7 @@
 // ops). PayloadBuf removes that: payloads up to kInlineBytes live inside the
 // object, larger ones borrow a fixed-size block from a process-wide freelist
 // pool, and only payloads beyond the pool's block size fall back to the heap.
-// Blocks cross threads freely (allocated on a runtime or progress thread,
+// Blocks cross threads freely (allocated in an engine pass or on a progress thread,
 // released wherever the message dies), so the freelist is guarded by a
 // spinlock — push/pop is a handful of instructions, far below a malloc.
 #pragma once

@@ -1,6 +1,6 @@
-// Per-runtime-thread cache region (paper Fig. 7): a fixed pool of cachelines
+// Per-engine-shard cache region (paper Fig. 7): a fixed pool of cachelines
 // with a private scanning pointer, so eviction never contends with other
-// runtime threads and never touches the application fast path.
+// shards and never touches the application fast path.
 #pragma once
 
 #include <atomic>
@@ -89,7 +89,7 @@ class CacheRegion {
   }
 
  private:
-  // Single-writer (the owning runtime thread); relaxed so cross-thread stats
+  // Single-writer (the owning shard's passes); relaxed so cross-thread stats
   // sampling never touches the owner-private vectors.
   void bump(std::atomic<uint64_t>& c) {
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);

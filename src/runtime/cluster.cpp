@@ -358,20 +358,13 @@ void Cluster::register_default_stats_sources() {
                 dentry_state_name(static_cast<DentryState>(i)),
             by_state[i]);
   });
-  // Thread duty cycles: how busy the service threads actually are.
+  // Duty cycle of each node's one service thread, the comm progress thread.
   stats_registry_.add_source([this](obs::StatsSnapshot& s) {
-    obs::DutyStats rt, rx;
-    for (const auto& n : nodes_) {
-      rt += n->runtime_duty();
-      rx += n->comm().duty().sample();  // the progress thread
-    }
-    auto emit = [&s](const char* prefix, const obs::DutyStats& d) {
-      s.add(std::string(prefix) + ".busy_ns", d.busy_ns);
-      s.add(std::string(prefix) + ".idle_ns", d.idle_ns);
-      s.add(std::string(prefix) + ".parks", d.parks);
-    };
-    emit("duty.runtime", rt);
-    emit("duty.rx", rx);
+    obs::DutyStats rx;
+    for (const auto& n : nodes_) rx += n->comm().duty().sample();
+    s.add("duty.rx.busy_ns", rx.busy_ns);
+    s.add("duty.rx.idle_ns", rx.idle_ns);
+    s.add("duty.rx.parks", rx.parks);
   });
   stats_registry_.add_source([this](obs::StatsSnapshot& s) {
     CacheRegionStats c;
@@ -531,7 +524,7 @@ const ArrayMeta* Cluster::create_array(uint64_t n_elems, uint32_t elem_size,
     st.ctl.resize(meta->n_chunks);
     for (ChunkId c = 0; c < meta->n_chunks; ++c) {
       Dentry& d = st.dentries[c];
-      d.owner_bell = &nodes_[i]->rt_for_chunk(c).bell();
+      d.owner_bell = &nodes_[i]->shard_for_chunk(c).bell();
       if (meta->home_of_chunk(c) == i) {
         d.is_home = true;
         d.data.store(st.chunk_data(c), std::memory_order_relaxed);

@@ -1,7 +1,7 @@
 // Directory entry: the per-chunk, per-node state that the lock-free data
 // access path (paper Fig. 4) and the runtime management path (Fig. 5/6) meet
 // on. Application threads touch only the atomics; all state transitions are
-// made by the single runtime thread that owns the chunk.
+// made by passes of the one engine shard that owns the chunk.
 #pragma once
 
 #include <atomic>
@@ -21,10 +21,10 @@ struct alignas(64) Dentry {
   std::atomic<std::byte*> combine{nullptr};    // remote Operated participants
   std::atomic<std::atomic<uint64_t>*> combine_bitmap{nullptr};
   bool is_home = false;             // immutable after array creation
-  Doorbell* owner_bell = nullptr;   // rings the owning runtime thread
+  PendingBell* owner_bell = nullptr;  // asks for a pass of the owning shard
 
   // Per-target-state transition tallies (obs): written only by the owning
-  // runtime thread (store of load+1, not an RMW — single-writer), read by the
+  // shard's passes (store of load+1, not an RMW — single-writer), read by the
   // stats plane from any thread. The initial home-side state set at array
   // creation is not a transition and is not counted.
   std::atomic<uint32_t> transitions[kNumDentryStates] = {};
@@ -48,7 +48,7 @@ struct alignas(64) Dentry {
     }
   }
 
-  // Fig. 4 line 14. Wakes the runtime thread iff it is draining this chunk.
+  // Fig. 4 line 14. Asks for an engine pass iff the chunk is draining.
   void release_ref() {
     if (refcnt.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
         delay.load(std::memory_order_seq_cst)) {
@@ -57,7 +57,7 @@ struct alignas(64) Dentry {
     }
   }
 
-  // --- runtime-thread side (Fig. 5/6) ----------------------------------------
+  // --- engine side (Fig. 5/6) ------------------------------------------------
 
   // Fig. 5 ①+②: block new accessors and install the target state. The caller
   // completes the drain once refcnt reaches zero (asynchronously — see

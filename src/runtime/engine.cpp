@@ -15,8 +15,8 @@ namespace darray::rt {
 
 using net::MsgType;
 
-Engine::Engine(NodeRuntime* node, uint32_t rt_index, CacheRegion* region, Doorbell* bell)
-    : node_(node), rt_index_(rt_index), region_(region), bell_(bell), self_(node->id()) {}
+Engine::Engine(NodeRuntime* node, CacheRegion* region)
+    : node_(node), region_(region), self_(node->id()) {}
 
 NodeArrayState& Engine::state_of(ArrayId id) const {
   NodeArrayState* st = node_->array_state(id);
@@ -215,7 +215,7 @@ void Engine::handle_rpc(net::RpcMessage m) {
     case MsgType::kClientReq:
     case MsgType::kClientResp:
       // Client-serving plane (src/serve): hdr.chunk only spreads deliveries
-      // across runtime threads; the front door does its own matching via
+      // across engine shards; the front door does its own matching via
       // txn_id (session) and addr (sequence).
       node_->deliver_client_msg(std::move(m));
       return;

@@ -1,11 +1,12 @@
-// The coherence engine: one instance per runtime thread, implementing the
+// The coherence engine: one instance per engine shard, implementing the
 // paper's extended directory protocol (§4.4, Fig. 9, Table 1) plus cache
 // management (§4.2) and the home side of distributed locks.
 //
 // Concurrency model: each chunk is owned by exactly one engine per node
-// (chunk % runtime_threads). One pass at a time runs an engine, under its
-// runtime thread's engine lock, on whichever thread took the lock: the
-// runtime thread, or a submitter running the pass inline (runtime_thread.hpp).
+// (chunk % runtime_threads_per_node). One pass at a time runs an engine,
+// under its shard's engine lock, on whichever thread took the lock: a
+// submitter running the pass inline, or the node's progress thread
+// (engine_shard.hpp).
 // The engine therefore runs single-threaded over its chunks and never blocks:
 // operations that must wait (dentry drains, invalidation acks, flush
 // collection) are parked as continuations and resumed from tick() / message
@@ -32,10 +33,10 @@ class NodeRuntime;
 
 class Engine {
  public:
-  Engine(NodeRuntime* node, uint32_t rt_index, CacheRegion* region, Doorbell* bell);
+  Engine(NodeRuntime* node, CacheRegion* region);
 
-  // Entry points, called only from a pass under the owning runtime thread's
-  // engine lock.
+  // Entry points, called only from a pass under the owning shard's engine
+  // lock.
   void handle_local(LocalRequest* r);
   void handle_rpc(net::RpcMessage m);
 
@@ -44,7 +45,7 @@ class Engine {
   bool tick();
 
   // True when tick() must be polled (a parked allocation waits on refcounts
-  // that drop without ringing the doorbell).
+  // that drop without ringing the shard's bell).
   bool needs_poll() const { return !alloc_retry_.empty(); }
 
   // Written under the engine lock; read from other threads only for reporting.
@@ -122,9 +123,7 @@ class Engine {
   bool is_home(const NodeArrayState& as, ChunkId c) const;
 
   NodeRuntime* node_;
-  const uint32_t rt_index_;
   CacheRegion* region_;
-  Doorbell* bell_;
   NodeId self_;
 
   struct Drain {

@@ -8,13 +8,20 @@ namespace darray::rt {
 NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id, rdma::Device* device,
                          const ClusterConfig& cfg)
     : cluster_(cluster), id_(id), device_(device) {
+  // The progress thread dispatches to the owning shard, and once per loop
+  // iteration runs the passes submitters left to it.
   comm_ = std::make_unique<net::CommLayer>(
       id, cfg.num_nodes, cfg, device,
-      [this](net::RpcMessage&& m) { rt_for_chunk(m.hdr.chunk).submit_rpc(std::move(m)); });
+      [this](net::RpcMessage&& m) { shard_for_chunk(m.hdr.chunk).submit_rpc(std::move(m)); },
+      [this] {
+        net::CommLayer::Progress p;
+        for (auto& sh : shards_) p |= sh->run_leftover();
+        return p;
+      });
   comm_->set_error_handler(
       [this](const net::CommError& err) { cluster_->handle_comm_error(id_, err); });
   for (uint32_t i = 0; i < cfg.runtime_threads_per_node; ++i)
-    rts_.push_back(std::make_unique<RuntimeThread>(this, id, i, cfg, device));
+    shards_.push_back(std::make_unique<EngineShard>(this, cfg, device, &comm_->bell()));
 }
 
 NodeRuntime::~NodeRuntime() { stop(); }
@@ -23,12 +30,14 @@ void NodeRuntime::start() {
   DARRAY_ASSERT(!started_);
   started_ = true;
   comm_->start();
-  for (auto& rt : rts_) rt->start();
+  for (auto& sh : shards_) sh->start();
 }
 
 void NodeRuntime::stop() {
   if (!started_) return;
-  for (auto& rt : rts_) rt->stop();
+  // Submissions from here on ring the progress thread, which runs them until
+  // the comm layer stops.
+  for (auto& sh : shards_) sh->stop();
   comm_->stop();
   started_ = false;
 }

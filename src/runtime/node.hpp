@@ -1,5 +1,6 @@
-// A simulated cluster node: its RNIC device, communication layer, runtime
-// threads, and per-array state.
+// A simulated cluster node: its RNIC device, communication layer (whose one
+// progress thread is the node's only service thread), engine shards, and
+// per-array state.
 #pragma once
 
 #include <array>
@@ -12,8 +13,8 @@
 #include "common/spinlock.hpp"
 #include "net/comm_layer.hpp"
 #include "runtime/array_state.hpp"
+#include "runtime/engine_shard.hpp"
 #include "runtime/reduce_board.hpp"
-#include "runtime/runtime_thread.hpp"
 #include "runtime/stats.hpp"
 
 namespace darray::rt {
@@ -35,21 +36,19 @@ class NodeRuntime {
   net::CommLayer& comm() { return *comm_; }
   rdma::Device* device() { return device_; }
 
-  uint32_t num_runtime_threads() const { return static_cast<uint32_t>(rts_.size()); }
-  RuntimeThread& rt(uint32_t i) { return *rts_[i]; }
-  RuntimeThread& rt_for_chunk(ChunkId c) { return *rts_[c % rts_.size()]; }
+  EngineShard& shard_for_chunk(ChunkId c) { return *shards_[c % shards_.size()]; }
 
-  // Route an application slow-path request to the owning runtime thread.
-  void submit_local(LocalRequest* r) { rt_for_chunk(r->chunk).submit_local(r); }
+  // Route an application slow-path request to the owning engine shard.
+  void submit_local(LocalRequest* r) { shard_for_chunk(r->chunk).submit_local(r); }
 
-  // Reduction-tree mailbox (src/compute collectives): runtime threads deposit
+  // Reduction-tree mailbox (src/compute collectives): engine passes deposit
   // inbound kReducePart messages, the node's collective caller awaits them.
   ReduceBoard& reduce_board() { return reduce_board_; }
 
   // Client-serving plane (src/serve): the front door installs a sink for
   // kClientReq/kClientResp deliveries, keeping the runtime → serve dependency
-  // inverted. The sink runs inside engine passes (on a runtime thread or a
-  // submitter running the pass inline) under a per-node lock (so an
+  // inverted. The sink runs inside engine passes (on a submitter running the
+  // pass inline or on the progress thread) under a per-node lock (so an
   // uninstall can never race a delivery) and must route without blocking —
   // admission/shed decisions only, never KVS execution. With no sink
   // installed the message is dropped and counted: sessions only exist while
@@ -69,22 +68,16 @@ class NodeRuntime {
   }
   void install_array(ArrayId id, std::unique_ptr<NodeArrayState> st);
 
-  // Aggregate counters across this node's runtime threads.
+  // Aggregate counters across this node's engine shards.
   RuntimeStats runtime_stats() const {
     RuntimeStats s;
-    for (const auto& rt : rts_) s += rt->stats();
-    return s;
-  }
-
-  obs::DutyStats runtime_duty() const {
-    obs::DutyStats s;
-    for (const auto& rt : rts_) s += rt->duty().sample();
+    for (const auto& sh : shards_) s += sh->stats();
     return s;
   }
 
   CacheRegionStats cache_stats() const {
     CacheRegionStats s;
-    for (const auto& rt : rts_) s += rt->region().stats();
+    for (const auto& sh : shards_) s += sh->region().stats();
     return s;
   }
 
@@ -93,7 +86,7 @@ class NodeRuntime {
   const NodeId id_;
   rdma::Device* device_;
   std::unique_ptr<net::CommLayer> comm_;
-  std::vector<std::unique_ptr<RuntimeThread>> rts_;
+  std::vector<std::unique_ptr<EngineShard>> shards_;
   std::array<std::atomic<NodeArrayState*>, kMaxArrays> arrays_{};
   std::vector<std::unique_ptr<NodeArrayState>> array_storage_;
   ReduceBoard reduce_board_;

@@ -1,9 +1,9 @@
 // Per-node mailbox for reduction-tree partials (src/compute collectives).
 //
 // A collective's partial results travel as kReducePart protocol messages; the
-// progress thread routes each to a runtime thread by hdr.chunk (the collective
-// sequence number), which deposits it here. Application threads block in
-// await() until the matching part lands. One board per node: runtime threads
+// progress thread routes each to an engine shard by hdr.chunk (the collective
+// sequence number), whose pass deposits it here. Application threads block in
+// await() until the matching part lands. One board per node: engine passes
 // are producers, the node's collective caller is the consumer, and the
 // (seq, src, frag) key makes every deposit unambiguous — a node receives at
 // most one message per sender per fragment per collective (up-contributions
@@ -14,7 +14,7 @@
 // calls them in the same order), so the per-node counters agree without any
 // cross-node coordination. A plain mutex + condvar is deliberate — reduction
 // traffic is a handful of small messages per collective, nowhere near a rate
-// where the runtime threads' brief producer-side critical section matters.
+// where the engine passes' brief producer-side critical section matters.
 #pragma once
 
 #include <atomic>
@@ -44,7 +44,7 @@ class ReduceBoard {
     return (uint64_t{seq} << 32) | (uint64_t{frag} << 8) | src;
   }
 
-  // Producer side (runtime threads): deposit one part and wake waiters.
+  // Producer side (engine passes): deposit one part and wake waiters.
   void deliver(uint64_t k, Part part) {
     {
       std::lock_guard lk(mu_);

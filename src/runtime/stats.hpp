@@ -1,4 +1,4 @@
-// Runtime-layer counters: written under one runtime thread's engine lock
+// Runtime-layer counters: written under one engine shard's engine lock
 // (by whichever thread runs its pass), aggregated on demand. Used by the ablation benches and by tests that assert *behaviour*
 // (e.g. "prefetch turned N demand misses into hits") rather than timing.
 #pragma once

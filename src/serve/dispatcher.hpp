@@ -67,7 +67,7 @@ class RequestDispatcher {
   // Admission control. Returns true if the job was queued; false means the
   // dispatcher is at capacity and the caller must shed (the job is left
   // intact — capacity is checked before anything is moved). Constant-time,
-  // safe from runtime threads.
+  // safe from inside engine passes.
   bool offer(Job&& job);
 
   // offer() for a request whose session lives on this node. Runs the job on

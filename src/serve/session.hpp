@@ -2,7 +2,7 @@
 // matching that pairs a submitted request with its eventual kClientResp.
 //
 // One SessionCore per connected Client. Submission and completion run on
-// different threads (the application thread vs a runtime thread delivering a
+// different threads (the application thread vs an engine pass delivering a
 // response), so the core is a mutex+condvar rendezvous; the fast path is one
 // short critical section per side.
 #pragma once

@@ -1,4 +1,4 @@
-// Multiple runtime threads per node: chunks are sharded across engines
+// Multiple engine shards per node: chunks are sharded across engines
 // (chunk % R), each with its own cache region and protocol state.
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@ TEST(DArrayMultiRt, OperateAcrossEngineShards) {
   auto a = DArray<uint64_t>::create(cluster, 16 * 12);
   const auto add = a.register_op(&add_u64, 0);
   testing::run_on_nodes(cluster, [&](rt::NodeId) {
-    // Touch both even and odd chunks (different runtime threads).
+    // Touch both even and odd chunks (different engine shards).
     for (uint64_t i = 0; i < a.size(); i += 7) a.apply(i, add, 1);
   });
   testing::run_on_nodes(cluster, [&](rt::NodeId n) {
@@ -64,7 +64,7 @@ TEST(DArrayMultiRt, LocksRouteToOwningEngine) {
 }
 
 TEST(DArrayMultiRt, EvictionPerRegion) {
-  // Each runtime thread has its own small region; a sweep larger than the
+  // Each engine shard has its own small region; a sweep larger than the
   // combined capacity forces both engines to evict independently.
   rt::ClusterConfig cfg = multi_rt_cfg(2, 2);
   cfg.cachelines_per_region = 4;

@@ -1,7 +1,8 @@
 // One progress thread per node (comm_layer.hpp): it polls both CQs, reposts
-// the receive ring, dispatches, and runs the Tx pass. These tests check that
-// a node has exactly that one comm thread, and the rule that keeps it safe:
-// it never waits on a peer's receive ring without re-arming its own.
+// the receive ring, dispatches, runs the Tx pass and the engine passes
+// submitters leave. These tests check that a node has exactly that one
+// service thread, and the rule that keeps it safe: it never waits on a peer's
+// receive ring without re-arming its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -110,8 +111,13 @@ TEST(ProgressThread, MutualFloodNeverStallsOnReceiveRing) {
   EXPECT_EQ(c[1]->dropped_requests(), 0u);
 }
 
+// Each node has one service thread: its progress thread, which also runs the
+// engine passes submitters leave. No Tx, Rx or runtime thread runs, with
+// several engine shards per node too.
 TEST(ProgressThread, OneCommThreadPerNode) {
-  rt::Cluster cluster(darray::testing::small_cfg(2));
+  rt::ClusterConfig cfg = darray::testing::small_cfg(2);
+  cfg.runtime_threads_per_node = 2;
+  rt::Cluster cluster(cfg);
   // Threads name themselves once running: wait (bounded) for both nodes'.
   int net_threads[2] = {0, 0};
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -131,6 +137,7 @@ TEST(ProgressThread, OneCommThreadPerNode) {
     if (!e->alive.load(std::memory_order_acquire)) continue;
     EXPECT_NE(std::strncmp(e->name, "tx.", 3), 0) << "a Tx thread is running: " << e->name;
     EXPECT_NE(std::strncmp(e->name, "rx.", 3), 0) << "an Rx thread is running: " << e->name;
+    EXPECT_NE(std::strncmp(e->name, "rt.", 3), 0) << "a runtime thread is running: " << e->name;
   }
 }
 

@@ -62,11 +62,12 @@ TEST(ClusterStats, ContinuousProfilerArmsAndExposesCounters) {
     });
     const obs::StatsSnapshot s = cluster.stats();
     // The profile.* plane is present and the registry saw the cluster's
-    // named threads (rt and net at minimum — 2 nodes' worth of rings).
+    // named threads (each node's one service thread, net.<n>: 2 nodes' worth
+    // of rings).
     EXPECT_NE(s.find("profile.samples"), nullptr);
     EXPECT_NE(s.find("profile.signals"), nullptr);
     EXPECT_NE(s.find("profile.unattributed"), nullptr);
-    EXPECT_GE(s.value_or("profile.rings"), 4u);
+    EXPECT_GE(s.value_or("profile.rings"), 2u);
   }  // cluster dtor disarms the session before joining its threads
   EXPECT_FALSE(obs::profiler_running());
 }

@@ -55,7 +55,8 @@ TEST(Dentry, AcquireWaitsOutDelay) {
 TEST(Dentry, ReleaseWakesDrainingRuntime) {
   Dentry d;
   Doorbell bell;
-  d.owner_bell = &bell;
+  PendingBell owner(&bell);
+  d.owner_bell = &owner;
   d.acquire_ref();
   d.begin_drain(DentryState::kInvalid);  // runtime wants the chunk
   const uint32_t snap = bell.snapshot();
@@ -63,16 +64,19 @@ TEST(Dentry, ReleaseWakesDrainingRuntime) {
   bell.wait_change(snap);                   // must not hang
   t.join();
   EXPECT_TRUE(d.drained());
+  EXPECT_TRUE(owner.take()) << "the ring must ask for the owning shard's pass";
 }
 
 TEST(Dentry, ReleaseWithoutDelayDoesNotRing) {
   Dentry d;
   Doorbell bell;
-  d.owner_bell = &bell;
+  PendingBell owner(&bell);
+  d.owner_bell = &owner;
   const uint32_t snap = bell.snapshot();
   d.acquire_ref();
   d.release_ref();
   EXPECT_EQ(bell.snapshot(), snap) << "fast path must not wake the runtime";
+  EXPECT_FALSE(owner.take());
 }
 
 TEST(Dentry, PromoteSkipsDrain) {

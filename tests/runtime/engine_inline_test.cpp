@@ -1,9 +1,9 @@
 // Run-to-completion engine: a thread that submits a request runs the engine
-// pass itself when the engine lock is free (runtime_thread.hpp). These tests
-// race application, progress and runtime threads for one engine's lock and
-// check what the protocol promises regardless of which thread wins:
-// per-chunk FIFO of RPCs, read-ahead submitted from inside a pass, and lock
-// mutual exclusion with FIFO grants. No assertion depends on which thread ran
+// pass itself when the engine lock is free (engine_shard.hpp). These tests
+// race application and progress threads for one engine's lock and check what
+// the protocol promises regardless of which thread wins: per-chunk FIFO of
+// RPCs, read-ahead submitted from inside a pass, and lock mutual exclusion
+// with FIFO grants. No assertion depends on which thread ran
 // a pass.
 #include <gtest/gtest.h>
 

@@ -379,17 +379,15 @@ void render(const Snapshot& snap, const std::string& host, uint16_t port,
                 fmt_si(static_cast<double>(thresh)).c_str());
   }
 
-  // Service-thread duty cycles from the busy/idle deltas.
-  std::printf("\n  duty   ");
-  // "rx" is the comm progress thread (it also runs the Tx pass).
-  for (const char* t : {"runtime", "rx"}) {
-    const std::string base = std::string("duty.") + t;
-    const double busy = latest_rate(find(snap, base + ".busy_ns"));
-    const double idle = latest_rate(find(snap, base + ".idle_ns"));
+  // Duty cycle of the nodes' one service thread, the comm progress thread
+  // ("rx": it also runs the Tx pass and leftover engine passes), from the
+  // busy/idle deltas.
+  {
+    const double busy = latest_rate(find(snap, "duty.rx.busy_ns"));
+    const double idle = latest_rate(find(snap, "duty.rx.idle_ns"));
     const double frac = busy + idle > 0 ? busy / (busy + idle) : 0.0;
-    std::printf("%-8s %3.0f%% %s   ", t, frac * 100, duty_bar(frac, 10).c_str());
+    std::printf("\n  duty   %-8s %3.0f%% %s\n", "rx", frac * 100, duty_bar(frac, 10).c_str());
   }
-  std::printf("\n");
 
   // Coherence transitions and chaos faults: per-second rates this interval,
   // plus totals over the visible ring window.
