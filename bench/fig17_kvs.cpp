@@ -33,7 +33,7 @@ double run(uint32_t nodes, uint32_t threads, double get_ratio) {
   cfg.n_keys = env_u64("DARRAY_BENCH_KEYS", 4000);
   cfg.get_ratio = get_ratio;
   cfg.threads_per_node = threads;
-  cfg.ops_per_thread = env_u64("DARRAY_BENCH_KVS_OPS", 1500);
+  cfg.ops_per_thread = env_u64("DARRAY_BENCH_KVS_OPS", 20000);
   ycsb_load_serve(svc, cfg);
   const double kops = run_ycsb_serve(svc, cfg).kops;
   svc.shutdown();

@@ -452,8 +452,7 @@ class DArray {
     r.op_id = op_id;
     r.trace_id = span.corr;
     r.stream = continues_stream(ctx, c) && mode == PinMode::kRead;
-    ctx.cluster->node(ctx.node).submit_local(&r);
-    r.done.wait();
+    ctx.cluster->node(ctx.node).submit_and_wait(&r);
     record_pin(slot, d, c, r.granted);
     return true;
   }
@@ -561,8 +560,7 @@ class DArray {
       r.index = i;
       r.trace_id = corr;
       r.stream = continues_stream(ctx, c) && !write;
-      ctx.cluster->node(ctx.node).submit_local(&r);
-      r.done.wait();
+      ctx.cluster->node(ctx.node).submit_and_wait(&r);
       fn(d.data.load(std::memory_order_acquire), off, in_chunk, done);
       d.release_ref();
       done += in_chunk;
@@ -607,8 +605,7 @@ class DArray {
     r.operand = operand;
     r.trace_id = corr;
     r.stream = continues_stream(ctx, c) && kind == rt::LocalRequest::Kind::kRead;
-    ctx.cluster->node(ctx.node).submit_local(&r);
-    r.done.wait();
+    ctx.cluster->node(ctx.node).submit_and_wait(&r);
     return r.operand;
   }
 
@@ -639,8 +636,7 @@ class DArray {
     r.chunk = meta_->chunk_of(index);
     r.index = index;
     r.trace_id = span.corr;
-    ctx.cluster->node(ctx.node).submit_local(&r);
-    r.done.wait();
+    ctx.cluster->node(ctx.node).submit_and_wait(&r);
   }
 
   void apply_via_pin(const PinEntry& p, uint32_t off, const rt::OpDesc& op, uint16_t op_id,

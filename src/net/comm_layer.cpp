@@ -64,9 +64,13 @@ size_t compute_max_msg_bytes(const ClusterConfig& cfg) {
   return sizeof(MsgHeader) + size_t{cfg.chunk_elems} * sizeof(OpFlushEntry);
 }
 
-// The comm layer whose progress thread this is (null elsewhere). Only that
-// thread consumes the recv CQ, so only it may arm the ring.
+// The comm layer whose progress thread this is (null elsewhere): only it may
+// wait in a Tx pass.
 thread_local const CommLayer* t_progress = nullptr;
+
+// The comm layer whose receive role this thread holds (null elsewhere). Only
+// the holder consumes the recv CQ, so only it may arm the ring.
+thread_local const CommLayer* t_rx_role = nullptr;
 
 // DeferTx state: whether a scope is live on this thread, and the comm layer
 // its deferred posts went to (one per scope: a pass posts through its own
@@ -133,9 +137,10 @@ CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& 
   peer_tx_ = std::make_unique<PeerTxCounters[]>(num_nodes_);
 
   // A SEND waiting for a peer's ring keeps this node's ring armed, when the
-  // waiter is the one thread that may arm it.
+  // waiter holds the receive role, whether it is the progress thread or a
+  // waiting application thread.
   device_->set_wait_hook([this] {
-    if (t_progress == this) arm_recv_ring();
+    if (t_rx_role == this) arm_recv_ring();
   });
 }
 
@@ -357,8 +362,10 @@ uint32_t CommLayer::acquire_send_buffer() {
   }
   while (send_free_.empty()) {
     // Only the progress thread may wait here: the doorbell has one consumer,
-    // and tx_pass keeps inline passes within the free arena.
+    // and tx_pass keeps inline passes within the free arena. Its full pass
+    // runs under the receive role, so it may arm the ring below.
     DARRAY_ASSERT_MSG(t_progress == this, "an inline Tx pass ran out of send buffers");
+    DARRAY_ASSERT(t_rx_role == this);
     // The peer may be waiting on our ring while we wait on its completions:
     // keep the ring armed, then park on the doorbell (CQE arrivals ring it),
     // bounded by the earliest holdback or retry backoff — recovery may be
@@ -1006,7 +1013,7 @@ bool CommLayer::tx_pass(bool inline_caller) {
     // Long drains must not hold frames past the coalescing deadline.
     if ((++drained & 63u) == 0) flush_due(now_ns());
   }
-  // Rendezvous pulls the progress thread's dispatch parsed (a pull is a
+  // Rendezvous pulls a role holder's dispatch parsed (a pull is a
   // doorbell-batched run of READ WRs).
   if (!inline_caller && !rndz_jobs_.empty()) {
     for (RndzPull& job : rndz_jobs_) start_pull(std::move(job), now_ns());
@@ -1147,6 +1154,59 @@ bool CommLayer::dispatch_backlog() {
   return true;
 }
 
+std::optional<CommLayer::RxIteration> CommLayer::rx_iteration(bool progress_thread) {
+  std::unique_lock<std::mutex> role(rx_mu_, std::try_to_lock);
+  if (!role.owns_lock()) return std::nullopt;
+  t_rx_role = this;
+  RxIteration it;
+  // Ring first: it must be armed before anything here can post.
+  it.progressed = arm_recv_ring();
+  it.progressed |= dispatch_backlog();
+  const Progress owner = progress_ ? progress_() : Progress{};
+  it.progressed |= owner.progressed;
+  it.poll = owner.poll;
+  {
+    std::unique_lock<std::mutex> tx(tx_mu_, std::try_to_lock);
+    if (tx.owns_lock()) {
+      it.progressed |= tx_pass(/*inline_caller=*/!progress_thread);
+      if (progress_thread) it.due = next_due_in();
+    } else {
+      // A poster is running a pass, which never parks and rings for what it
+      // leaves.
+      it.tx_busy = progress_thread;
+    }
+  }
+  // A pass that waited on a peer's ring may have filled the backlog, and
+  // only the progress thread's full pass starts rendezvous pulls.
+  it.left = !rx_backlog_.empty() || !rndz_jobs_.empty();
+  t_rx_role = nullptr;
+  role.unlock();
+  if (progress_thread) {
+    rx_progress_passes_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    rx_caller_passes_.fetch_add(1, std::memory_order_relaxed);
+    // The progress thread may be parked on a snapshot taken before this
+    // iteration: hand it what is left, as EngineShard::run_or_ring does.
+    if (it.left || it.poll) bell_.ring();
+  }
+  return it;
+}
+
+void CommLayer::wait(const Completion& done) {
+  // Neither an engine pass nor another role holder may take the role: the
+  // first would run passes inside its own, the second holds it already.
+  if (!t_defer && t_rx_role == nullptr) {
+    const uint64_t until = now_ns() + kCallerPollNs;
+    while (!done.ready() && inline_ok_.load(std::memory_order_acquire) &&
+           rx_iteration(/*progress_thread=*/false)) {
+      if (done.ready() || now_ns() >= until) break;
+      // On one CPU a spin would starve the thread that delivers.
+      std::this_thread::yield();
+    }
+  }
+  done.wait();
+}
+
 void CommLayer::progress_main() {
   char tname[16];
   std::snprintf(tname, sizeof tname, "net.%u", node_id_);
@@ -1155,34 +1215,21 @@ void CommLayer::progress_main() {
   duty_.on_start();
   for (;;) {
     const uint32_t snap = bell_.snapshot();
-    // Ring first: it must be armed before anything here can post.
-    bool progressed = arm_recv_ring();
-    progressed |= dispatch_backlog();
-    const Progress owner = progress_ ? progress_() : Progress{};
-    progressed |= owner.progressed;
-    uint64_t due = 0;
-    {
-      std::unique_lock<std::mutex> lk(tx_mu_, std::try_to_lock);
-      if (lk.owns_lock()) {
-        progressed |= tx_pass(/*inline_caller=*/false);
-        due = next_due_in();
-      } else {
-        // A poster is running a pass, which never parks: try again soon,
-        // polling the ring meanwhile.
-        std::this_thread::yield();
-        progressed = true;
-      }
-    }
+    const std::optional<RxIteration> it = rx_iteration(/*progress_thread=*/true);
     if (stop_.load(std::memory_order_acquire)) break;
-    // A pass that waited on a peer's ring may have filled the backlog. An
-    // owner that polls waits on another thread (a reference holder); on one
-    // CPU a spin would starve it, so the loop yields.
-    if (!progressed && rx_backlog_.empty()) {
-      if (owner.poll)
-        std::this_thread::yield();
-      else
-        park(snap, due);
+    // A waiter holds the role for one iteration, or a poster runs a Tx pass
+    // (neither parks): try again soon.
+    if (!it || it->tx_busy) {
+      std::this_thread::yield();
+      continue;
     }
+    // An owner that polls waits on another thread (a reference holder); on
+    // one CPU a spin would starve it, so the loop yields.
+    if (it->progressed || it->left) continue;
+    if (it->poll)
+      std::this_thread::yield();
+    else
+      park(snap, it->due);
   }
   duty_.on_stop();
 }

@@ -1,12 +1,13 @@
 // The paper's communication layer (Fig. 2, §4.5): per node, an RDMA-request
 // queue drained by a Tx pass that posts work to the NIC with selective
 // signaling, and one progress thread that polls the completion queues and
-// delivers parsed RPC messages to the runtime. The paper's separate Tx and Rx
-// threads are one polling progress engine here (DESIGN.md §6), and it is the
-// node's only service thread: it also runs the engine passes its owner's
-// submitters leave (ProgressFn). The QP count is nodes² × 1, independent of
-// the number of application threads and engine shards — the paper's n²·c
-// (c = networking threads) instead of n²·t.
+// delivers parsed RPC messages to the runtime (application threads waiting
+// on a miss help it, below). The paper's separate Tx and Rx threads are one
+// polling progress engine here (DESIGN.md §6), and it is the node's only
+// service thread: it also runs the engine passes its owner's submitters
+// leave (ProgressFn). The QP count is nodes² × 1, independent of the number
+// of application threads and engine shards — the paper's n²·c (c =
+// networking threads) instead of n²·t.
 //
 // Who runs the Tx pass (docs/perf.md): post() enqueues, then runs the pass
 // itself when it can take the Tx lock without waiting, so an idle link costs
@@ -17,12 +18,18 @@
 // pass posts inside a DeferTx scope: its requests go out in one pass after
 // the engine lock is released, so the two locks never nest.
 //
-// The progress thread reposts each receive buffer before it dispatches, and
-// dispatches outside the Tx lock, so an engine pass a dispatch runs posts its
-// replies from this thread. It is the only thread that reposts its node's
-// receive ring, so it never waits on a peer's ring (the fabric's RNR retry
-// loop, an arena wait) without re-arming its own (arm_recv_ring); otherwise
-// two nodes waiting on each other's rings would both stall until RNR.
+// Who consumes the receive CQ (docs/perf.md): a role, not a thread. The
+// receive role is a lock taken only with try_lock; its holder runs one
+// receive iteration (rx_iteration): repost each receive buffer, dispatch the
+// backlog outside the Tx lock, run the owner's leftover passes, then one Tx
+// pass. The progress thread takes the role once per loop. An application
+// thread waiting on a Completion of its own node takes it too (wait()), so
+// the reply to its miss is dispatched, and its access performed, on the
+// waiter itself; a waiter that loses the role parks. A holder that leaves
+// work rings the progress thread. Whoever holds the role never waits on a
+// peer's ring (the fabric's RNR retry loop, an arena wait) without re-arming
+// its own (arm_recv_ring); otherwise two nodes waiting on each other's rings
+// would both stall until RNR.
 //
 // Small-message engine (docs/perf.md): with cfg.coalesce_enabled the Tx
 // pass packs every protocol message it finds queued for the same peer into
@@ -62,6 +69,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -90,20 +98,21 @@ struct CommError {
 
 class CommLayer {
  public:
-  // `dispatch` is invoked on the progress thread for every inbound message
-  // (notifications embedded in a completed rendezvous pull included), outside
-  // the Tx lock. It may post (an engine pass's replies go out from there) but
-  // must never block.
+  // `dispatch` is invoked by the receive-role holder (the progress thread or
+  // a waiting application thread) for every inbound message (notifications
+  // embedded in a completed rendezvous pull included), outside the Tx lock.
+  // It may post (an engine pass's replies go out from there) but must never
+  // block.
   using DispatchFn = std::function<void(RpcMessage&&)>;
   // Invoked from the Tx pass when a request is abandoned (retry budget or
   // deadline exhausted, or an untracked WR failed). The handler must not
   // block; with no handler installed the comm layer fail-stops.
   using ErrorFn = std::function<void(const CommError&)>;
-  // The owner's work on the progress thread (NodeRuntime: the engine passes
-  // submitters left), run once per loop iteration outside the Tx lock and
+  // The owner's work (NodeRuntime: the engine passes submitters left), run
+  // once per receive iteration by the role holder, outside the Tx lock and
   // before the Tx pass, so what it posts goes out in the same iteration. The
-  // owner asks for a call by ringing bell(). `poll` makes the loop yield
-  // instead of parking: the owner waits on something that never rings.
+  // owner asks for a call by ringing bell(). `poll` makes the progress loop
+  // yield instead of parking: the owner waits on something that never rings.
   struct Progress {
     bool progressed = false;
     bool poll = false;
@@ -151,6 +160,17 @@ class CommLayer {
     DeferTx& operator=(const DeferTx&) = delete;
   };
 
+  // A thread of this node waiting for `done` (NodeRuntime::submit_and_wait).
+  // While it takes the receive role without waiting, it runs receive
+  // iterations, re-checking `done` and yielding between them; once it loses
+  // the role, or has polled for kCallerPollNs, it parks on `done`. A thread
+  // inside a DeferTx scope (every engine pass runs in one) only parks.
+  void wait(const Completion& done);
+
+  // How long a waiter polls before it parks: several remote misses' worth, a
+  // small share of a long wait such as a contended lock.
+  static constexpr uint64_t kCallerPollNs = 200'000;
+
   size_t max_msg_bytes() const { return max_msg_bytes_; }
 
   // Requests abandoned after exhausting recovery (diagnostics / tests).
@@ -177,7 +197,8 @@ class CommLayer {
   }
 
   // Who ran the Tx pass (any thread may sample): passes run inline by a
-  // posting thread, and those that left work to the progress thread.
+  // posting or waiting thread, and those that left work to the progress
+  // thread.
   struct TxPassStats {
     uint64_t inline_passes = 0;
     uint64_t handoffs = 0;
@@ -185,6 +206,17 @@ class CommLayer {
   TxPassStats tx_pass_stats() const {
     return {inline_passes_.load(std::memory_order_relaxed),
             handoffs_.load(std::memory_order_relaxed)};
+  }
+
+  // Who ran the receive iterations (any thread may sample): waiting
+  // application threads, and the progress thread.
+  struct RxPassStats {
+    uint64_t caller_passes = 0;
+    uint64_t progress_passes = 0;
+  };
+  RxPassStats rx_pass_stats() const {
+    return {rx_caller_passes_.load(std::memory_order_relaxed),
+            rx_progress_passes_.load(std::memory_order_relaxed)};
   }
 
   // Per-peer outbound byte accounting (protocol bytes: header+payload for
@@ -214,6 +246,8 @@ class CommLayer {
   }
 
   // Busy/idle duty cycle of the progress thread (obs; any thread may sample).
+  // Receive iterations run by waiters are not in it: they count in
+  // rx_pass_stats().
   const obs::DutyCycle& duty() const { return duty_; }
 
  private:
@@ -291,7 +325,7 @@ class CommLayer {
   // pinned until the peer's kRndzFin (or a NAK reverts it to eager). The
   // lease id on the wire is (generation << 16) | slot so a stale FIN/ACK that
   // raced a fallback cannot release a recycled slot. Guarded by lease_mu_
-  // (taken by a Tx pass to start and the progress thread's dispatch to
+  // (taken by a Tx pass to start and the receive-role holder's dispatch to
   // release — both are O(1) critical sections on a path already costing a
   // network round trip).
   struct RndzLease {
@@ -317,11 +351,25 @@ class CommLayer {
   // Profile anchor: keeps the progress loop out of the std::thread lambda so
   // sampled stacks name it (docs/observability.md v5).
   DARRAY_PROFILE_ANCHOR void progress_main();
-  // Progress thread: poll the recv CQ, copy each message into rx_backlog_,
+  // One receive iteration, run by the progress thread's loop and by waiters
+  // alike: take the receive role without waiting (nullopt when another
+  // thread holds it), arm the ring, dispatch the backlog, run the owner's
+  // leftover passes, then one Tx pass — the full pass on the progress
+  // thread, an inline one on a waiter. A waiter that leaves work (`left`,
+  // `poll`) rings the progress thread once it has released the role.
+  struct RxIteration {
+    bool progressed = false;
+    bool poll = false;     // the owner waits on something that never rings
+    bool left = false;     // backlog or rendezvous jobs left for the next holder
+    bool tx_busy = false;  // progress thread: another thread runs a Tx pass
+    uint64_t due = 0;      // progress thread: earliest holdback or retry
+  };
+  std::optional<RxIteration> rx_iteration(bool progress_thread);
+  // Role holder: poll the recv CQ, copy each message into rx_backlog_,
   // repost its buffer, and re-arm buffers parked by a QP error once the QP
   // is back in RTS. Never dispatches or posts, so it is safe in any wait.
   bool arm_recv_ring();
-  bool dispatch_backlog();  // progress thread, outside the Tx lock
+  bool dispatch_backlog();  // role holder, outside the Tx lock
   // Progress thread: park until the doorbell rings or `due` ns pass.
   void park(uint32_t snap, uint64_t due);
   uint64_t next_due_in() const;  // earliest CQ holdback or retry; caller holds tx_mu_
@@ -434,9 +482,17 @@ class CommLayer {
   bool chaos_ = false;     // fabric has a fault injector (latched at start())
   bool in_flush_ = false;  // Tx-private: guards acquire→flush reentrancy
 
-  // Recv-side buffers (progress-private): preposted per QP, reposted once
-  // their message is copied out. Buffers flushed by a QP error are parked
-  // until the Tx pass resets the QP, then reposted.
+  // The receive role: held for every receive iteration, by the progress
+  // thread or a waiter, and only ever try_locked. It guards recv_cq_
+  // polling (its holdback included), the receive state below and
+  // rndz_jobs_. The full Tx pass runs inside it (it starts the pulls of
+  // rndz_jobs_ and queues their notifications on rx_backlog_).
+  std::mutex rx_mu_;
+  std::atomic<uint64_t> rx_caller_passes_{0}, rx_progress_passes_{0};
+
+  // Recv-side buffers (role-private): preposted per QP, reposted once their
+  // message is copied out. Buffers flushed by a QP error are parked until
+  // the Tx pass resets the QP, then reposted.
   std::unique_ptr<std::byte[]> recv_arena_;
   rdma::MemoryRegion recv_mr_;
   std::vector<std::vector<rdma::RecvWr>> parked_recvs_;  // per peer
@@ -449,7 +505,7 @@ class CommLayer {
   // --- rendezvous state (see struct comments above) ---------------------------
   std::mutex lease_mu_;
   std::vector<RndzLease> leases_;                    // fixed size, cfg-bounded
-  std::vector<RndzPull> rndz_jobs_;                  // progress-private
+  std::vector<RndzPull> rndz_jobs_;                  // role-private
   std::unordered_map<uint32_t, RndzPull> rndz_pulls_;  // Tx-private, in-flight
   uint32_t next_rndz_id_ = 1;                        // Tx-private
   std::vector<uint32_t> rndz_done_;                  // Tx-private, deferred

@@ -1,7 +1,7 @@
 // Completion queue for the simulated fabric. Producers are posting threads;
-// there is one consumer at a time: a node's recv CQ is polled only by its
-// comm layer's progress thread, its send CQ only under the comm layer's Tx
-// lock.
+// there is one consumer at a time: a node's recv CQ is polled only by the
+// holder of its comm layer's receive role, its send CQ only under the comm
+// layer's Tx lock.
 // Entries carrying a future deliver_at_ns deadline are held back on the
 // consumer side, which is how the fabric injects link latency without
 // blocking the poster.

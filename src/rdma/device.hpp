@@ -30,9 +30,10 @@ class Device {
   bool validate_local(const Sge& sge) const;
 
   // Run by a poster on this device while it waits for a peer (the RNR retry
-  // loop). The owner of this node's receive rings uses it to keep them armed,
-  // so two nodes that wait on each other's rings both make progress. Set
-  // before any QP on this device posts; the hook itself must only poll.
+  // loop). The comm layer uses it to keep this node's receive rings armed
+  // when the poster holds their receive role, whichever thread that is, so
+  // two nodes that wait on each other's rings both make progress. Set before
+  // any QP on this device posts; the hook itself must only poll.
   void set_wait_hook(std::function<void()> hook) { wait_hook_ = std::move(hook); }
   void on_wait() const {
     if (wait_hook_) wait_hook_();

@@ -2,8 +2,9 @@
 //
 // Threading contract (matches how the comm layer uses real QPs):
 //   - post_send: one thread at a time (the comm layer's Tx lock holder)
-//   - post_recv: only the owning node's progress thread
-// The posted-receive queue is produced by the local progress thread and
+//   - post_recv: only the owning node's receive-role holder (its progress
+//     thread, or an application thread waiting on a miss)
+// The posted-receive queue is produced by the local role holder and
 // consumed by the peer's posting thread during its post_send. Error-state flushes also drain
 // it (from whichever thread observed the error), so pops are serialised by
 // recv_mu_ rather than by the single-consumer contract alone.
@@ -67,8 +68,8 @@ class QueuePair {
   void set_error();
 
   // ERROR → RTS. Posted RECVs were flushed on the transition, so the owner
-  // re-posts them (the comm layer's progress thread does this on the flush
-  // CQEs).
+  // re-posts them (the comm layer's receive-role holder does this on the
+  // flush CQEs).
   // Returns true when the QP was in ERROR.
   bool reset();
 

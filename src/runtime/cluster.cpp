@@ -251,21 +251,29 @@ void Cluster::register_default_stats_sources() {
     s.add("net.rndz.fallbacks", total.fallbacks);
     s.add("net.rndz.bytes", total.bytes);
   });
-  // Who ran the passes (docs/perf.md). Tx: passes run inline by posting
-  // threads, and how many of them left work (arena, recovery, rendezvous) to
-  // the progress thread. Runtime: submissions whose thread ran the engine pass
-  // itself, and those left to another thread's pass.
+  // Who ran the passes (docs/perf.md). Tx: passes run inline by posting or
+  // waiting threads, and how many of them left work (arena, recovery,
+  // rendezvous) to the progress thread. Rx: receive iterations run by
+  // waiting application threads and by the progress thread. Runtime:
+  // submissions whose thread ran the engine pass itself, and those left to
+  // another thread's pass.
   stats_registry_.add_source([this](obs::StatsSnapshot& s) {
     net::CommLayer::TxPassStats total;
+    net::CommLayer::RxPassStats rx;
     RuntimeStats rt;
     for (const auto& n : nodes_) {
       const net::CommLayer::TxPassStats t = n->comm().tx_pass_stats();
       total.inline_passes += t.inline_passes;
       total.handoffs += t.handoffs;
+      const net::CommLayer::RxPassStats r = n->comm().rx_pass_stats();
+      rx.caller_passes += r.caller_passes;
+      rx.progress_passes += r.progress_passes;
       rt += n->runtime_stats();
     }
     s.add("net.tx.inline_passes", total.inline_passes);
     s.add("net.tx.handoffs", total.handoffs);
+    s.add("net.rx.caller_passes", rx.caller_passes);
+    s.add("net.rx.progress_passes", rx.progress_passes);
     s.add("runtime.inline_passes", rt.inline_passes);
     s.add("runtime.handoffs", rt.handoffs);
   });

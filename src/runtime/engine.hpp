@@ -5,7 +5,8 @@
 // Concurrency model: each chunk is owned by exactly one engine per node
 // (chunk % runtime_threads_per_node). One pass at a time runs an engine,
 // under its shard's engine lock, on whichever thread took the lock: a
-// submitter running the pass inline, or the node's progress thread
+// submitter running the pass inline, or the node's receive-role holder (its
+// progress thread, or an application thread waiting on a miss)
 // (engine_shard.hpp).
 // The engine therefore runs single-threaded over its chunks and never blocks:
 // operations that must wait (dentry drains, invalidation acks, flush

@@ -8,8 +8,9 @@
 // take the lock without waiting, so an idle engine costs no thread hop.
 // Whatever it leaves to others (a lost try_lock, work queued behind its
 // snapshot, an allocation retry) it hands to the node's progress thread by
-// ringing the shard's bell; that thread runs the same pass under the same
-// lock (run_leftover). Threads that must not run a pass only enqueue and
+// ringing the shard's bell; the next receive iteration, the progress
+// thread's or a waiting application thread's, runs the same pass under the
+// same lock (run_leftover). Threads that must not run a pass only enqueue and
 // ring: one already inside an engine pass (the engine's own read-ahead
 // submits mid-pass), and anyone before start() or once stop() has begun.
 // Every pass runs inside a CommLayer::DeferTx scope: the engine's sends are
@@ -50,7 +51,8 @@ class EngineShard {
     run_or_ring();
   }
 
-  // The comm layer's progress thread (Fig. 2 RPC-msg queue).
+  // The comm layer's dispatch, on its receive-role holder (Fig. 2 RPC-msg
+  // queue).
   void submit_rpc(net::RpcMessage m) {
     rpc_q_.push(std::move(m));
     run_or_ring();
@@ -59,12 +61,13 @@ class EngineShard {
   // Asks the progress thread for one more pass of this shard.
   PendingBell& bell() { return bell_; }
 
-  // The progress thread's half, once per loop iteration: when the shard was
-  // rung, wait for the engine lock and run a pass. It waits rather than
-  // try_locks: a drain whose last reference dropped after the holder's
-  // tick() is not in the holder's leftover check. While an allocation retry
-  // waits on refcounts, which drop without ringing, the shard stays marked
-  // and the loop yields instead of parking (`poll`).
+  // The receive-role holder's half, once per receive iteration (the progress
+  // thread's, or a waiter's): when the shard was rung, wait for the engine
+  // lock and run a pass. It waits rather than try_locks: a drain whose last
+  // reference dropped after the holder's tick() is not in the holder's
+  // leftover check. While an allocation retry waits on refcounts, which drop
+  // without ringing, the shard stays marked and the progress loop yields
+  // instead of parking (`poll`).
   net::CommLayer::Progress run_leftover() {
     if (!bell_.take()) return {};
     net::CommLayer::Progress p;

@@ -8,8 +8,9 @@ namespace darray::rt {
 NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id, rdma::Device* device,
                          const ClusterConfig& cfg)
     : cluster_(cluster), id_(id), device_(device) {
-  // The progress thread dispatches to the owning shard, and once per loop
-  // iteration runs the passes submitters left to it.
+  // The receive-role holder (the progress thread, or a waiter) dispatches to
+  // the owning shard, and once per receive iteration runs the passes
+  // submitters left.
   comm_ = std::make_unique<net::CommLayer>(
       id, cfg.num_nodes, cfg, device,
       [this](net::RpcMessage&& m) { shard_for_chunk(m.hdr.chunk).submit_rpc(std::move(m)); },

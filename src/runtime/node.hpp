@@ -41,6 +41,15 @@ class NodeRuntime {
   // Route an application slow-path request to the owning engine shard.
   void submit_local(LocalRequest* r) { shard_for_chunk(r->chunk).submit_local(r); }
 
+  // A thread bound to this node: submit `r`, then wait for it. While it
+  // waits it takes this node's receive role when it is free, so the reply
+  // to its miss is dispatched, and the access performed, on this thread
+  // (CommLayer::wait).
+  void submit_and_wait(LocalRequest* r) {
+    submit_local(r);
+    comm_->wait(r->done);
+  }
+
   // Reduction-tree mailbox (src/compute collectives): engine passes deposit
   // inbound kReducePart messages, the node's collective caller awaits them.
   ReduceBoard& reduce_board() { return reduce_board_; }
@@ -48,11 +57,11 @@ class NodeRuntime {
   // Client-serving plane (src/serve): the front door installs a sink for
   // kClientReq/kClientResp deliveries, keeping the runtime → serve dependency
   // inverted. The sink runs inside engine passes (on a submitter running the
-  // pass inline or on the progress thread) under a per-node lock (so an
-  // uninstall can never race a delivery) and must route without blocking —
-  // admission/shed decisions only, never KVS execution. With no sink
-  // installed the message is dropped and counted: sessions only exist while
-  // a front door is attached.
+  // pass inline, a waiter holding the receive role, or the progress thread)
+  // under a per-node lock (so an uninstall can never race a delivery) and
+  // must route without blocking — admission/shed decisions only, never KVS
+  // execution. With no sink installed the message is dropped and counted:
+  // sessions only exist while a front door is attached.
   using ClientMsgFn = std::function<void(net::RpcMessage&&)>;
   void set_client_msg_handler(ClientMsgFn fn);
   void deliver_client_msg(net::RpcMessage&& m);

@@ -40,6 +40,8 @@ TEST(ClusterStats, SnapshotCoversEveryLayer) {
   EXPECT_NE(s.find("comm.dropped_requests"), nullptr);
   EXPECT_NE(s.find("runtime.inline_passes"), nullptr);
   EXPECT_NE(s.find("runtime.handoffs"), nullptr);
+  EXPECT_NE(s.find("net.rx.caller_passes"), nullptr);
+  EXPECT_NE(s.find("net.rx.progress_passes"), nullptr);
   EXPECT_NE(s.find("trace.recorded"), nullptr);
   // No chaos plan armed: the chaos.* block is absent, not zero-filled.
   EXPECT_EQ(s.find("chaos.rnr_rejections"), nullptr);

@@ -2,6 +2,7 @@
 // design through the telemetry rather than timing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -145,7 +146,21 @@ TEST(RuntimeStats, EvictionKindsMatchUsage) {
 TEST(RuntimeStats, LockWaitsUnderContention) {
   rt::Cluster cluster(small_cfg(2));
   auto arr = darray::DArray<uint64_t>::create(cluster, 64);
-  darray::testing::run_on_nodes_mt(cluster, 2, [&](rt::NodeId, uint32_t) {
+  // One thread holds the lock until another has queued on it, so the
+  // critical sections overlap at least once whatever the scheduler does.
+  std::atomic<bool> held{false};
+  darray::testing::run_on_nodes_mt(cluster, 2, [&](rt::NodeId n, uint32_t t) {
+    if (n == 0 && t == 0) {
+      arr.wlock(0);
+      held.store(true);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (cluster.runtime_stats().lock_waits == 0 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      arr.unlock(0);
+    } else {
+      while (!held.load()) std::this_thread::yield();
+    }
     for (int k = 0; k < 25; ++k) {
       arr.wlock(0);
       arr.set(0, arr.get(0) + 1);
