@@ -16,13 +16,14 @@ namespace darray {
 struct ClusterConfig {
   // --- topology -------------------------------------------------------------
   uint32_t num_nodes = 2;
-  // Engine shards per node (chunk % R): the paper's runtime threads, run by
-  // submitters and the node's progress thread rather than threads of their own.
+  // The paper's runtime threads per node. Each node runs exactly one
+  // coherence engine (DESIGN.md §6), so 1 is the only valid value; the field
+  // stays for perfbench, which sets and reads it.
   uint32_t runtime_threads_per_node = 1;
 
   // --- array / cache --------------------------------------------------------
   uint32_t chunk_elems = 512;        // paper default granularity
-  // Cachelines per engine-shard cache region (a cacheline holds one chunk).
+  // Cachelines in each node's cache region (a cacheline holds one chunk).
   uint32_t cachelines_per_region = 256;
   double low_watermark = 0.30;       // start reclaiming below this free ratio
   double high_watermark = 0.50;      // reclaim until this free ratio
@@ -136,8 +137,9 @@ struct ClusterConfig {
   std::string validate() const {
     if (num_nodes < 1 || num_nodes > 64)
       return "num_nodes must be in [1, 64], got " + std::to_string(num_nodes);
-    if (runtime_threads_per_node < 1)
-      return "runtime_threads_per_node must be >= 1";
+    if (runtime_threads_per_node != 1)
+      return "runtime_threads_per_node must be 1 (each node runs one engine), got " +
+             std::to_string(runtime_threads_per_node);
     if (chunk_elems == 0) return "chunk_elems must be > 0";
     if (cachelines_per_region == 0) return "cachelines_per_region must be > 0";
     if (!(low_watermark >= 0.0 && low_watermark <= 1.0))

@@ -73,9 +73,6 @@ class PendingBell {
   // Consumer: clear the mark; returns whether it was set.
   bool take() { return pending_.load() && pending_.exchange(false); }
 
-  // Consumer: mark the source again for its own next round, waking no one.
-  void keep() { pending_.store(true); }
-
  private:
   Doorbell* bell_;
   std::atomic<bool> pending_{false};

@@ -48,17 +48,14 @@ T from_bits(uint64_t b) {
   return v;
 }
 
-// One edge of the reduction tree. The sequence number rides in both txn_id
-// (the board key) and chunk — the progress thread routes protocol messages
-// to an engine shard by hdr.chunk, so consecutive collectives spread over
-// them.
+// One edge of the reduction tree. The sequence number rides in txn_id (the
+// board key).
 inline void send_part(rt::Cluster& cl, rt::NodeId self, rt::NodeId dst, uint32_t seq,
                       uint32_t frag, uint32_t nfrags, uint64_t bits,
                       net::PayloadBuf payload = {}) {
   net::TxRequest t;
   t.dst = static_cast<uint16_t>(dst);
   t.hdr.type = net::MsgType::kReducePart;
-  t.hdr.chunk = seq;
   t.hdr.txn_id = seq;
   t.hdr.rkey = frag;
   t.hdr.aux = nfrags;

@@ -77,12 +77,6 @@ thread_local const CommLayer* t_rx_role = nullptr;
 // node).
 thread_local bool t_defer = false;
 thread_local CommLayer* t_deferred = nullptr;
-
-// A request's data source is consumed (posted zero-copy, or captured into the
-// arena): let its owner recycle it.
-void release_source(std::atomic<uint32_t>* posted_flag) {
-  if (posted_flag) publish_and_notify(*posted_flag, uint32_t{1});
-}
 }  // namespace
 
 CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& cfg,
@@ -308,6 +302,14 @@ void CommLayer::handle_error_cqe(const rdma::WorkCompletion& wc) {
                rdma::wc_status_name(wc.status), e.attempts);
   }
   rec.moved.push_back(std::move(e));
+}
+
+void CommLayer::release_source(std::atomic<uint32_t>* posted_flag) {
+  if (!posted_flag) return;
+  // seq_cst, as in publish_and_notify: the notify must not miss a waiter.
+  const bool ring = posted_flag->exchange(1) == kRingWhenPosted;
+  posted_flag->notify_all();
+  if (ring) owner_bell_.ring();
 }
 
 void CommLayer::reclaim_send_buffers() {
@@ -1162,9 +1164,7 @@ std::optional<CommLayer::RxIteration> CommLayer::rx_iteration(bool progress_thre
   // Ring first: it must be armed before anything here can post.
   it.progressed = arm_recv_ring();
   it.progressed |= dispatch_backlog();
-  const Progress owner = progress_ ? progress_() : Progress{};
-  it.progressed |= owner.progressed;
-  it.poll = owner.poll;
+  if (progress_ && owner_bell_.take()) it.progressed |= progress_();
   {
     std::unique_lock<std::mutex> tx(tx_mu_, std::try_to_lock);
     if (tx.owns_lock()) {
@@ -1187,7 +1187,7 @@ std::optional<CommLayer::RxIteration> CommLayer::rx_iteration(bool progress_thre
     rx_caller_passes_.fetch_add(1, std::memory_order_relaxed);
     // The progress thread may be parked on a snapshot taken before this
     // iteration: hand it what is left, as EngineShard::run_or_ring does.
-    if (it.left || it.poll) bell_.ring();
+    if (it.left) bell_.ring();
   }
   return it;
 }
@@ -1223,13 +1223,8 @@ void CommLayer::progress_main() {
       std::this_thread::yield();
       continue;
     }
-    // An owner that polls waits on another thread (a reference holder); on
-    // one CPU a spin would starve it, so the loop yields.
     if (it->progressed || it->left) continue;
-    if (it->poll)
-      std::this_thread::yield();
-    else
-      park(snap, it->due);
+    park(snap, it->due);
   }
   duty_.on_stop();
 }

@@ -6,8 +6,8 @@
 // polling progress engine here (DESIGN.md §6), and it is the node's only
 // service thread: it also runs the engine passes its owner's submitters
 // leave (ProgressFn). The QP count is nodes² × 1, independent of the number
-// of application threads and engine shards — the paper's n²·c (c =
-// networking threads) instead of n²·t.
+// of application threads — the paper's n²·c (c = networking threads) instead
+// of n²·t.
 //
 // Who runs the Tx pass (docs/perf.md): post() enqueues, then runs the pass
 // itself when it can take the Tx lock without waiting, so an idle link costs
@@ -108,20 +108,11 @@ class CommLayer {
   // deadline exhausted, or an untracked WR failed). The handler must not
   // block; with no handler installed the comm layer fail-stops.
   using ErrorFn = std::function<void(const CommError&)>;
-  // The owner's work (NodeRuntime: the engine passes submitters left), run
-  // once per receive iteration by the role holder, outside the Tx lock and
-  // before the Tx pass, so what it posts goes out in the same iteration. The
-  // owner asks for a call by ringing bell(). `poll` makes the progress loop
-  // yield instead of parking: the owner waits on something that never rings.
-  struct Progress {
-    bool progressed = false;
-    bool poll = false;
-    void operator|=(Progress o) {
-      progressed |= o.progressed;
-      poll |= o.poll;
-    }
-  };
-  using ProgressFn = std::function<Progress()>;
+  // The owner's work (NodeRuntime: the engine pass submitters left), run by
+  // the role holder in a receive iteration that finds owner_bell() rung,
+  // outside the Tx lock and before the Tx pass, so what it posts goes out in
+  // the same iteration. Returns whether it made progress.
+  using ProgressFn = std::function<bool()>;
 
   CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& cfg,
             rdma::Device* device, DispatchFn dispatch, ProgressFn progress = {});
@@ -133,7 +124,10 @@ class CommLayer {
   rdma::Device* device() const { return device_; }
   rdma::CompletionQueue* send_cq() { return &send_cq_; }
   rdma::CompletionQueue* recv_cq() { return &recv_cq_; }
-  Doorbell& bell() { return bell_; }
+  // Asks the role holder for one ProgressFn call. Rung by the owner, and by
+  // the Tx pass when it posts a data WRITE whose posted_flag the owner set
+  // to kRingWhenPosted.
+  PendingBell& owner_bell() { return owner_bell_; }
 
   // Topology wiring (before start()).
   void set_qp(uint32_t peer, rdma::QueuePair* qp);
@@ -355,11 +349,10 @@ class CommLayer {
   // alike: take the receive role without waiting (nullopt when another
   // thread holds it), arm the ring, dispatch the backlog, run the owner's
   // leftover passes, then one Tx pass — the full pass on the progress
-  // thread, an inline one on a waiter. A waiter that leaves work (`left`,
-  // `poll`) rings the progress thread once it has released the role.
+  // thread, an inline one on a waiter. A waiter that leaves work (`left`)
+  // rings the progress thread once it has released the role.
   struct RxIteration {
     bool progressed = false;
-    bool poll = false;     // the owner waits on something that never rings
     bool left = false;     // backlog or rendezvous jobs left for the next holder
     bool tx_busy = false;  // progress thread: another thread runs a Tx pass
     uint64_t due = 0;      // progress thread: earliest holdback or retry
@@ -432,6 +425,9 @@ class CommLayer {
   uint64_t backoff_ns(uint32_t attempts) const;
   uint32_t acquire_send_buffer();  // only the progress thread may wait for one
   uint32_t stage_send_msg(TxRequest& req);  // copy header+payload into a buffer
+  // A request's data source is consumed (posted zero-copy, or captured into
+  // the arena): let its owner recycle it, ringing the owner if it waits.
+  void release_source(std::atomic<uint32_t>* posted_flag);
   void release_buf(uint32_t buf) {
     if (buf != kNoBuf) send_free_.push_back(buf);
   }
@@ -449,8 +445,9 @@ class CommLayer {
   const size_t max_msg_bytes_;
 
   // The progress thread's doorbell: both CQs ring it, and so do a poster
-  // that leaves it work and the owner (ProgressFn).
+  // that leaves it work and owner_bell_.
   Doorbell bell_;
+  PendingBell owner_bell_{&bell_};
   rdma::CompletionQueue send_cq_{&bell_};
   rdma::CompletionQueue recv_cq_{&bell_};
   // Pushed by post(), which rings bell_ itself only when it does not run

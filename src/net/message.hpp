@@ -54,16 +54,14 @@ enum class MsgType : uint8_t {
   kLockRel,      // addr = element index
 
   // --- array-compute collectives (src/compute) -------------------------------
-  kReducePart,   // one edge of a reduction tree: txn_id/chunk = collective
-                 //   sequence number (chunk doubles as the engine-shard
-                 //   routing key), addr = scalar partial bits, rkey = fragment
-                 //   index, aux = fragment count, payload = per-chunk partials
-                 //   (deterministic mode only)
+  kReducePart,   // one edge of a reduction tree: txn_id = collective
+                 //   sequence number, addr = scalar partial bits, rkey =
+                 //   fragment index, aux = fragment count, payload = per-chunk
+                 //   partials (deterministic mode only)
 
   // --- client-serving plane (src/serve) --------------------------------------
   kClientReq,    // session → owner dispatcher: txn_id = session id, addr =
-                 //   request sequence, chunk = hash spread (engine-shard
-                 //   routing only), payload = [WireReq][key][value]. Journey
+                 //   request sequence, payload = [WireReq][key][value]. Journey
                  //   piggyback (obs v4): trace = journey id, aux:rkey = the
                  //   origin's t_submit stamp split hi:lo (all zero when
                  //   journey tracing is off)
@@ -109,11 +107,14 @@ struct MsgHeader {
 };
 static_assert(sizeof(MsgHeader) == 48);
 
-// A parsed inbound message as delivered to an engine shard.
+// A parsed inbound message as delivered to the node's engine.
 struct RpcMessage {
   MsgHeader hdr;
   PayloadBuf payload;
 };
+
+// TxRequest::posted_flag: unposted, and the owner waits for the release.
+inline constexpr uint32_t kRingWhenPosted = 2;
 
 // An outbound request handed from an engine pass to the Tx pass: an
 // optional one-sided data WRITE followed (FIFO on the same QP) by the
@@ -130,10 +131,12 @@ struct TxRequest {
   uint64_t data_remote_addr = 0;
   uint32_t data_rkey = 0;
 
-  // Optional release hook: set to 1 by the Tx pass once the data WRITE has
-  // been posted (payload copied), letting the runtime recycle the source
-  // cacheline without a protocol-level ack. Rendezvous defers the release to
-  // the kRndzFin (the source stays pinned until the peer's READs complete).
+  // Optional release hook: 0 while queued, set to 1 by the Tx pass once the
+  // data WRITE has been posted (payload copied), letting the runtime
+  // recycle the source cacheline without a protocol-level ack. Rendezvous
+  // defers the release to the kRndzFin (the source stays pinned until the
+  // peer's READs complete). An owner that waits for the release swaps 0 for
+  // kRingWhenPosted; the release then rings CommLayer::owner_bell().
   std::atomic<uint32_t>* posted_flag = nullptr;
 
   // Comm-layer internal: set when a rendezvous falls back (NAK or lease

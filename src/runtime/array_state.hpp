@@ -1,9 +1,8 @@
 // Per-node state of one distributed array: the local subarray, the dentry per
 // chunk, and the protocol control block per chunk (home directory fields +
-// requester-side bookkeeping). Control blocks are touched only by passes of
-// the engine shard that owns the chunk (chunk % runtime_threads_per_node),
-// one at a time under its engine lock, so they need no internal
-// synchronisation.
+// requester-side bookkeeping). Control blocks are touched only by the node's
+// engine passes, one at a time under the engine lock, so they need no
+// internal synchronisation.
 #pragma once
 
 #include <cstdint>

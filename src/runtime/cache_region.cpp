@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "net/message.hpp"
 
 namespace darray::rt {
 
@@ -60,6 +61,14 @@ void CacheRegion::free_when_posted(CacheLine* line) {
   line->used = false;
   pending_release_.push_back(line);
   bump(deferred_releases_);
+}
+
+bool CacheRegion::ring_when_posted() {
+  for (CacheLine* l : pending_release_) {
+    uint32_t queued = 0;
+    l->tx_posted.compare_exchange_strong(queued, net::kRingWhenPosted);
+  }
+  return !pending_release_.empty();
 }
 
 bool CacheRegion::tick_pending_releases() {

@@ -1,6 +1,6 @@
-// Per-engine-shard cache region (paper Fig. 7): a fixed pool of cachelines
-// with a private scanning pointer, so eviction never contends with other
-// shards and never touches the application fast path.
+// The node's cache region (paper Fig. 7): a fixed pool of cachelines with a
+// private scanning pointer, touched only by engine passes, so eviction never
+// touches the application fast path.
 #pragma once
 
 #include <atomic>
@@ -21,7 +21,8 @@ struct CacheLine {
   ArrayId array = 0;
   ChunkId chunk = 0;
   bool used = false;
-  // 0 while an eviction's one-sided WRITE is still queued for a Tx pass; the
+  // 0 while an eviction's one-sided WRITE is still queued for a Tx pass (or
+  // net::kRingWhenPosted, once a waiting allocation asked for a ring); the
   // slot may not be recycled until the pass sets it to 1.
   std::atomic<uint32_t> tx_posted{1};
 };
@@ -62,6 +63,11 @@ class CacheRegion {
   // slot was freed.
   bool tick_pending_releases();
 
+  // For a request that waits on a slot: ask each pending release to ring the
+  // engine once its WRITE is posted (net::kRingWhenPosted). Returns whether
+  // a release is pending.
+  bool ring_when_posted();
+
   size_t capacity() const { return lines_.size(); }
   size_t free_count() const { return free_.size() + pending_release_.size(); }
 
@@ -89,7 +95,7 @@ class CacheRegion {
   }
 
  private:
-  // Single-writer (the owning shard's passes); relaxed so cross-thread stats
+  // Single-writer (the engine's passes); relaxed so cross-thread stats
   // sampling never touches the owner-private vectors.
   void bump(std::atomic<uint64_t>& c) {
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);

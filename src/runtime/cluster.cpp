@@ -532,7 +532,7 @@ const ArrayMeta* Cluster::create_array(uint64_t n_elems, uint32_t elem_size,
     st.ctl.resize(meta->n_chunks);
     for (ChunkId c = 0; c < meta->n_chunks; ++c) {
       Dentry& d = st.dentries[c];
-      d.owner_bell = &nodes_[i]->shard_for_chunk(c).bell();
+      d.owner_bell = &nodes_[i]->comm().owner_bell();
       if (meta->home_of_chunk(c) == i) {
         d.is_home = true;
         d.data.store(st.chunk_data(c), std::memory_order_relaxed);

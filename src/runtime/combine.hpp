@@ -140,7 +140,7 @@ struct CombineView {
     return (bitmap[offset >> 6].load(std::memory_order_acquire) >> (offset & 63)) & 1;
   }
 
-  // Runtime thread only (no concurrency): reseed identity + clear bitmap.
+  // Engine pass only (no concurrency): reseed identity + clear bitmap.
   void reset(const OpDesc& op) const {
     for (uint32_t i = 0; i < chunk_elems; ++i)
       std::memcpy(slot(i), &op.identity_bits, 8);

@@ -204,9 +204,8 @@ void Engine::handle_rpc(net::RpcMessage m) {
       rpc_lock(m);
       return;
     case MsgType::kReducePart:
-      // Reduction-tree partial (src/compute): hdr.chunk is the collective
-      // sequence number, present only to spread deliveries across runtime
-      // threads; the board keys on (seq, src, fragment).
+      // Reduction-tree partial (src/compute): the board keys on (seq, src,
+      // fragment).
       stats_.reduce_parts_rx++;
       node_->reduce_board().deliver(
           ReduceBoard::key(m.hdr.txn_id, m.hdr.src_node, m.hdr.rkey),
@@ -214,9 +213,8 @@ void Engine::handle_rpc(net::RpcMessage m) {
       return;
     case MsgType::kClientReq:
     case MsgType::kClientResp:
-      // Client-serving plane (src/serve): hdr.chunk only spreads deliveries
-      // across engine shards; the front door does its own matching via
-      // txn_id (session) and addr (sequence).
+      // Client-serving plane (src/serve): the front door does its own
+      // matching via txn_id (session) and addr (sequence).
       node_->deliver_client_msg(std::move(m));
       return;
     default:
@@ -240,7 +238,8 @@ bool Engine::tick() {
   }
   std::erase_if(drains_, [](const Drain& d) { return d.dentry == nullptr; });
 
-  // Retry remote issues that stalled on cacheline allocation.
+  // Retry remote issues that stalled on cacheline allocation (a pass runs
+  // when a line they wait for rings: watch_lines).
   if (!alloc_retry_.empty()) {
     auto retry = std::move(alloc_retry_);
     alloc_retry_.clear();
@@ -686,6 +685,7 @@ void Engine::try_issue_remote(NodeArrayState& as, ChunkId c) {
       reclaim();
       line = region_->allocate(as.meta->id, c);
     }
+    if (!line && !only_prefetch && watch_lines()) line = region_->allocate(as.meta->id, c);
     if (!line) {
       if (only_prefetch) {  // don't stall prefetches on a full cache
         wake_parked(as, c);   // deletes the prefetch request(s)
@@ -1072,7 +1072,7 @@ size_t Engine::reclaim() {
   return freed;
 }
 
-bool Engine::try_evict(CacheLine& line) {
+bool Engine::try_evict(CacheLine& line, bool watch) {
   NodeArrayState& as = state_of(line.array);
   const ChunkId c = line.chunk;
   ChunkCtl& ctl = as.ctl[c];
@@ -1081,7 +1081,9 @@ bool Engine::try_evict(CacheLine& line) {
   const DentryState s = d.state.load(std::memory_order_acquire);
   if (s != DentryState::kRead && s != DentryState::kWrite && s != DentryState::kOperated)
     return false;  // intermediate state: skip (paper §4.2)
-  if (!d.drained()) return false;  // someone is accessing (or pinned): skip
+  // Someone is accessing (or pinned): skip, or, for a waiting allocation, ask
+  // the last release to ring.
+  if (!d.drained() && !(watch && d.watch())) return false;
 
   // Fig. 5 steps, but non-blocking: re-check the refcount after raising the
   // delay flag and bail out rather than wait.
@@ -1138,6 +1140,24 @@ bool Engine::try_evict(CacheLine& line) {
     default:
       DARRAY_UNREACHABLE("filtered above");
   }
+}
+
+// A request that must wait found no slot, even after reclaim(). Ask each
+// line that can free one to ring the engine once it does, so the retry waits
+// without polling; returns whether a slot freed while asking. A release
+// still waiting for its WRITE rings once posted. With none pending,
+// reclaim() scanned every line, so each is mid-transition (the message or
+// drain that ends it runs a pass) or referenced: a referenced line rings on
+// its last release (Dentry::watch), and one released meanwhile is evicted.
+bool Engine::watch_lines() {
+  if (region_->ring_when_posted()) return region_->tick_pending_releases();
+  bool freed = false;
+  for (size_t i = 0; i < region_->capacity(); ++i) {
+    CacheLine& line = region_->slot(i);
+    if (line.used) freed |= try_evict(line, /*watch=*/true);
+  }
+  region_->ring_when_posted();  // an eviction above may wait for its WRITE
+  return freed;
 }
 
 // ---------------------------------------------------------------------------

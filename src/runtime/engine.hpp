@@ -1,13 +1,11 @@
-// The coherence engine: one instance per engine shard, implementing the
-// paper's extended directory protocol (§4.4, Fig. 9, Table 1) plus cache
-// management (§4.2) and the home side of distributed locks.
+// The coherence engine: one instance per node, implementing the paper's
+// extended directory protocol (§4.4, Fig. 9, Table 1) plus cache management
+// (§4.2) and the home side of distributed locks.
 //
-// Concurrency model: each chunk is owned by exactly one engine per node
-// (chunk % runtime_threads_per_node). One pass at a time runs an engine,
-// under its shard's engine lock, on whichever thread took the lock: a
-// submitter running the pass inline, or the node's receive-role holder (its
-// progress thread, or an application thread waiting on a miss)
-// (engine_shard.hpp).
+// Concurrency model: one pass at a time runs the engine, under the engine
+// lock, on whichever thread took the lock: a submitter running the pass
+// inline, or the node's receive-role holder (its progress thread, or an
+// application thread waiting on a miss) (engine_shard.hpp).
 // The engine therefore runs single-threaded over its chunks and never blocks:
 // operations that must wait (dentry drains, invalidation acks, flush
 // collection) are parked as continuations and resumed from tick() / message
@@ -36,18 +34,13 @@ class Engine {
  public:
   Engine(NodeRuntime* node, CacheRegion* region);
 
-  // Entry points, called only from a pass under the owning shard's engine
-  // lock.
+  // Entry points, called only from a pass under the engine lock.
   void handle_local(LocalRequest* r);
   void handle_rpc(net::RpcMessage m);
 
   // Advance parked work (drains, deferred allocations, pending cacheline
   // releases, watermark reclaim). Returns true if anything progressed.
   bool tick();
-
-  // True when tick() must be polled (a parked allocation waits on refcounts
-  // that drop without ringing the shard's bell).
-  bool needs_poll() const { return !alloc_retry_.empty(); }
 
   // Written under the engine lock; read from other threads only for reporting.
   const RuntimeStats& stats() const { return stats_; }
@@ -107,7 +100,8 @@ class Engine {
 
   // --- cache management --------------------------------------------------------
   size_t reclaim();
-  bool try_evict(CacheLine& line);
+  bool try_evict(CacheLine& line, bool watch = false);
+  bool watch_lines();
 
   // --- drains -----------------------------------------------------------------
   void start_drain(Dentry& d, DentryState target, std::function<void()> then);

@@ -1,18 +1,19 @@
-// One engine shard (paper Fig. 2's runtime thread, without its thread): the
-// coherence engine, private cache region and protocol state of the chunks
-// that map to it (chunk % runtime_threads_per_node), fed by its
-// local-request and RPC-message queues.
+// The node's engine (paper Fig. 2's runtime thread, without its thread): the
+// coherence engine and its private cache region, fed by the local-request and
+// RPC-message queues.
 //
 // Who runs the engine pass (docs/perf.md): one pass at a time, under the
 // engine lock. A submitter enqueues, then runs the pass itself when it can
 // take the lock without waiting, so an idle engine costs no thread hop.
 // Whatever it leaves to others (a lost try_lock, work queued behind its
-// snapshot, an allocation retry) it hands to the node's progress thread by
-// ringing the shard's bell; the next receive iteration, the progress
+// snapshot) it hands to the node's progress thread by ringing the engine's
+// bell (CommLayer::owner_bell); the next receive iteration, the progress
 // thread's or a waiting application thread's, runs the same pass under the
-// same lock (run_leftover). Threads that must not run a pass only enqueue and
-// ring: one already inside an engine pass (the engine's own read-ahead
-// submits mid-pass), and anyone before start() or once stop() has begun.
+// same lock (run_leftover). An allocation retry is rung the same way, by the
+// line it waits for (Engine::watch_lines). Threads that must not run a pass
+// only enqueue and ring: one already inside an engine pass (the engine's own
+// read-ahead submits mid-pass), and anyone before start() or once stop() has
+// begun.
 // Every pass runs inside a CommLayer::DeferTx scope: the engine's sends are
 // queued and posted after the engine lock is released, so it is never held
 // across a fabric post.
@@ -34,10 +35,10 @@ class NodeRuntime;
 
 class EngineShard {
  public:
-  // `progress_bell` is the node's progress-thread doorbell.
+  // `bell` asks the node's receive-role holder for a run_leftover().
   EngineShard(NodeRuntime* node, const ClusterConfig& cfg, rdma::Device* device,
-              Doorbell* progress_bell)
-      : bell_(progress_bell), region_(device, cfg), engine_(node, &region_) {}
+              PendingBell* bell)
+      : bell_(bell), region_(device, cfg), engine_(node, &region_) {}
 
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;
@@ -58,27 +59,15 @@ class EngineShard {
     run_or_ring();
   }
 
-  // Asks the progress thread for one more pass of this shard.
-  PendingBell& bell() { return bell_; }
-
-  // The receive-role holder's half, once per receive iteration (the progress
-  // thread's, or a waiter's): when the shard was rung, wait for the engine
+  // The receive-role holder's half, in a receive iteration (the progress
+  // thread's, or a waiter's) that found the bell rung: wait for the engine
   // lock and run a pass. It waits rather than try_locks: a drain whose last
   // reference dropped after the holder's tick() is not in the holder's
-  // leftover check. While an allocation retry waits on refcounts, which drop
-  // without ringing, the shard stays marked and the progress loop yields
-  // instead of parking (`poll`).
-  net::CommLayer::Progress run_leftover() {
-    if (!bell_.take()) return {};
-    net::CommLayer::Progress p;
-    {
-      net::CommLayer::DeferTx defer;  // outlives the lock: posts after unlock
-      std::lock_guard<std::mutex> lk(engine_mu_);
-      p.progressed = pass();
-      p.poll = engine_.needs_poll();
-    }
-    if (p.poll) bell_.keep();
-    return p;
+  // leftover check.
+  bool run_leftover() {
+    net::CommLayer::DeferTx defer;  // outlives the lock: posts after unlock
+    std::lock_guard<std::mutex> lk(engine_mu_);
+    return pass();
   }
 
   RuntimeStats stats() const {
@@ -101,16 +90,16 @@ class EngineShard {
       if (lk.owns_lock()) {
         ++inline_passes_;
         pass();
-        const bool left = !local_q_.empty() || !rpc_q_.empty() || engine_.needs_poll();
+        const bool left = !local_q_.empty() || !rpc_q_.empty();
         lk.unlock();
-        if (left) bell_.ring();
+        if (left) bell_->ring();
         return;
       }
     }
     // The lock holder may be past its queue drain; the ring makes the
     // progress thread run one more pass.
     ++handoffs_;
-    bell_.ring();
+    bell_->ring();
   }
 
   // One engine pass over a snapshot of both queues, then tick(). Caller holds
@@ -135,7 +124,7 @@ class EngineShard {
     return work;
   }
 
-  PendingBell bell_;
+  PendingBell* bell_;
   // Pushes don't ring: a submitter rings only when it leaves its request to
   // the progress thread.
   MpscQueue<LocalRequest*> local_q_;

@@ -7,22 +7,16 @@ namespace darray::rt {
 
 NodeRuntime::NodeRuntime(Cluster* cluster, NodeId id, rdma::Device* device,
                          const ClusterConfig& cfg)
-    : cluster_(cluster), id_(id), device_(device) {
-  // The receive-role holder (the progress thread, or a waiter) dispatches to
-  // the owning shard, and once per receive iteration runs the passes
-  // submitters left.
-  comm_ = std::make_unique<net::CommLayer>(
-      id, cfg.num_nodes, cfg, device,
-      [this](net::RpcMessage&& m) { shard_for_chunk(m.hdr.chunk).submit_rpc(std::move(m)); },
-      [this] {
-        net::CommLayer::Progress p;
-        for (auto& sh : shards_) p |= sh->run_leftover();
-        return p;
-      });
+    : cluster_(cluster), id_(id), device_(device),
+      // The receive-role holder (the progress thread, or a waiter) dispatches
+      // to the engine, and runs the pass submitters left when they rang.
+      comm_(std::make_unique<net::CommLayer>(
+          id, cfg.num_nodes, cfg, device,
+          [this](net::RpcMessage&& m) { shard_.submit_rpc(std::move(m)); },
+          [this] { return shard_.run_leftover(); })),
+      shard_(this, cfg, device, &comm_->owner_bell()) {
   comm_->set_error_handler(
       [this](const net::CommError& err) { cluster_->handle_comm_error(id_, err); });
-  for (uint32_t i = 0; i < cfg.runtime_threads_per_node; ++i)
-    shards_.push_back(std::make_unique<EngineShard>(this, cfg, device, &comm_->bell()));
 }
 
 NodeRuntime::~NodeRuntime() { stop(); }
@@ -31,14 +25,14 @@ void NodeRuntime::start() {
   DARRAY_ASSERT(!started_);
   started_ = true;
   comm_->start();
-  for (auto& sh : shards_) sh->start();
+  shard_.start();
 }
 
 void NodeRuntime::stop() {
   if (!started_) return;
   // Submissions from here on ring the progress thread, which runs them until
   // the comm layer stops.
-  for (auto& sh : shards_) sh->stop();
+  shard_.stop();
   comm_->stop();
   started_ = false;
 }

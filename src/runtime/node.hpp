@@ -1,5 +1,5 @@
 // A simulated cluster node: its RNIC device, communication layer (whose one
-// progress thread is the node's only service thread), engine shards, and
+// progress thread is the node's only service thread), coherence engine, and
 // per-array state.
 #pragma once
 
@@ -36,10 +36,8 @@ class NodeRuntime {
   net::CommLayer& comm() { return *comm_; }
   rdma::Device* device() { return device_; }
 
-  EngineShard& shard_for_chunk(ChunkId c) { return *shards_[c % shards_.size()]; }
-
-  // Route an application slow-path request to the owning engine shard.
-  void submit_local(LocalRequest* r) { shard_for_chunk(r->chunk).submit_local(r); }
+  // Hand an application slow-path request to the engine.
+  void submit_local(LocalRequest* r) { shard_.submit_local(r); }
 
   // A thread bound to this node: submit `r`, then wait for it. While it
   // waits it takes this node's receive role when it is free, so the reply
@@ -77,25 +75,15 @@ class NodeRuntime {
   }
   void install_array(ArrayId id, std::unique_ptr<NodeArrayState> st);
 
-  // Aggregate counters across this node's engine shards.
-  RuntimeStats runtime_stats() const {
-    RuntimeStats s;
-    for (const auto& sh : shards_) s += sh->stats();
-    return s;
-  }
-
-  CacheRegionStats cache_stats() const {
-    CacheRegionStats s;
-    for (const auto& sh : shards_) s += sh->region().stats();
-    return s;
-  }
+  RuntimeStats runtime_stats() const { return shard_.stats(); }
+  CacheRegionStats cache_stats() const { return shard_.region().stats(); }
 
  private:
   Cluster* cluster_;
   const NodeId id_;
   rdma::Device* device_;
   std::unique_ptr<net::CommLayer> comm_;
-  std::vector<std::unique_ptr<EngineShard>> shards_;
+  EngineShard shard_;
   std::array<std::atomic<NodeArrayState*>, kMaxArrays> arrays_{};
   std::vector<std::unique_ptr<NodeArrayState>> array_storage_;
   ReduceBoard reduce_board_;

@@ -1,8 +1,7 @@
 // Per-node mailbox for reduction-tree partials (src/compute collectives).
 //
-// A collective's partial results travel as kReducePart protocol messages; the
-// progress thread routes each to an engine shard by hdr.chunk (the collective
-// sequence number), whose pass deposits it here. Application threads block in
+// A collective's partial results travel as kReducePart protocol messages,
+// which the node's engine pass deposits here. Application threads block in
 // await() until the matching part lands. One board per node: engine passes
 // are producers, the node's collective caller is the consumer, and the
 // (seq, src, frag) key makes every deposit unambiguous — a node receives at

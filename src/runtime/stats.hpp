@@ -1,5 +1,5 @@
-// Runtime-layer counters: written under one engine shard's engine lock
-// (by whichever thread runs its pass), aggregated on demand. Used by the ablation benches and by tests that assert *behaviour*
+// Runtime-layer counters: written under the node's engine lock (by whichever
+// thread runs its pass), aggregated on demand. Used by the ablation benches and by tests that assert *behaviour*
 // (e.g. "prefetch turned N demand misses into hits") rather than timing.
 #pragma once
 

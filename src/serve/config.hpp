@@ -15,7 +15,7 @@ struct ServeConfig {
   // without bound, the baseline the serve_soak bench compares against.
   uint32_t accept_queue_cap = 256;
 
-  // Dedicated KVS-executing worker threads per node. Runtime threads only
+  // Dedicated KVS-executing worker threads per node. Engine passes only
   // route; the blocking KVS ops run here. 0 is legal (nothing executes —
   // used by timeout tests).
   uint32_t workers_per_node = 1;

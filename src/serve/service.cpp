@@ -2,7 +2,6 @@
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "kvs/kvs.hpp"  // fnv1a
 #include "obs/journey.hpp"
 #include "net/comm_layer.hpp"
 #include "runtime/cluster.hpp"
@@ -114,7 +113,6 @@ Status ServiceImpl::submit(SessionCore& s, uint64_t seq, const Request& req,
   tx.hdr.type = net::MsgType::kClientReq;
   tx.hdr.txn_id = s.id;
   tx.hdr.addr = seq;
-  tx.hdr.chunk = kvs::fnv1a(req.key);  // spreads deliveries across rx threads
   // Journey piggyback: trace rides its own field; t_submit splits across the
   // aux/rkey pair, unused by client messages. Valid cross-node because every
   // simulated node shares one monotonic clock.
@@ -173,7 +171,6 @@ void ServiceImpl::respond(rt::NodeId from, const Job& job, Response&& r) {
   tx.hdr.type = net::MsgType::kClientResp;
   tx.hdr.txn_id = job.session;
   tx.hdr.addr = job.seq;
-  tx.hdr.chunk = job.session_key;  // keep one session's responses on one rx thread
   tx.hdr.trace = job.trace;
   const size_t trailer = job.trace ? sizeof(WireJourney) : 0;
   // Responses must always fit: the value came out of a request-sized blob.

@@ -2,6 +2,7 @@
 // eviction + writeback under a deliberately tiny cache, and mixed sharing.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "core/darray.hpp"
@@ -51,22 +52,25 @@ TEST(DArrayCoherence, WriteAfterSharedReaders) {
 // A cache far smaller than the working set forces eviction + writeback; every
 // written value must survive the round trip through the home node.
 TEST(DArrayCoherence, EvictionWritebackPreservesData) {
-  rt::ClusterConfig cfg = small_cfg(2, /*chunk_elems=*/16, /*cachelines=*/8);
-  rt::Cluster cluster(cfg);
-  // 64 chunks per node's half — node 1 can cache at most 8 at a time.
-  auto a = DArray<uint64_t>::create(cluster, 16 * 128);
-  std::thread t([&] {
-    bind_thread(cluster, 1);
-    // Write node 0's entire half remotely.
-    for (uint64_t i = a.local_begin(0); i < a.local_end(0); ++i) a.set(i, i * 11);
-  });
-  t.join();
-  std::thread t2([&] {
-    bind_thread(cluster, 0);
-    for (uint64_t i = a.local_begin(0); i < a.local_end(0); ++i)
-      ASSERT_EQ(a.get(i), i * 11) << "lost update at " << i;
-  });
-  t2.join();
+  for (const uint32_t lines : {8u, 4u}) {
+    SCOPED_TRACE("cachelines " + std::to_string(lines));
+    rt::ClusterConfig cfg = small_cfg(2, /*chunk_elems=*/16, lines);
+    rt::Cluster cluster(cfg);
+    // 64 chunks per node's half — node 1 can cache at most `lines` at a time.
+    auto a = DArray<uint64_t>::create(cluster, 16 * 128);
+    std::thread t([&] {
+      bind_thread(cluster, 1);
+      // Write node 0's entire half remotely.
+      for (uint64_t i = a.local_begin(0); i < a.local_end(0); ++i) a.set(i, i * 11);
+    });
+    t.join();
+    std::thread t2([&] {
+      bind_thread(cluster, 0);
+      for (uint64_t i = a.local_begin(0); i < a.local_end(0); ++i)
+        ASSERT_EQ(a.get(i), i * 11) << "lost update at " << i;
+    });
+    t2.join();
+  }
 }
 
 // Read-only eviction: repeated sweeps re-fetch silently dropped chunks.

@@ -87,7 +87,7 @@ TEST(DArrayStress, OperatedUnsharedFlapping) {
   testing::run_on_nodes(cluster, [&](rt::NodeId) { EXPECT_EQ(arr.get(5), 3u * kRounds); });
 }
 
-// Writer churn with a cache of exactly one line per engine shard: every
+// Writer churn with a cache of exactly one line per node: every
 // miss must first evict the only line (voluntary writeback races with the
 // home's fetches).
 TEST(DArrayStress, OneLineCache) {

@@ -112,12 +112,9 @@ TEST(ProgressThread, MutualFloodNeverStallsOnReceiveRing) {
 }
 
 // Each node has one service thread: its progress thread, which also runs the
-// engine passes submitters leave. No Tx, Rx or runtime thread runs, with
-// several engine shards per node too.
+// engine passes submitters leave. No Tx, Rx or runtime thread runs.
 TEST(ProgressThread, OneCommThreadPerNode) {
-  rt::ClusterConfig cfg = darray::testing::small_cfg(2);
-  cfg.runtime_threads_per_node = 2;
-  rt::Cluster cluster(cfg);
+  rt::Cluster cluster(darray::testing::small_cfg(2));
   // Threads name themselves once running: wait (bounded) for both nodes'.
   int net_threads[2] = {0, 0};
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);

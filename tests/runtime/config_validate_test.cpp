@@ -31,6 +31,9 @@ TEST(ConfigValidate, EachBadFieldIsNamedInTheMessage) {
   cfg.runtime_threads_per_node = 0;
   expect_mentions(cfg, "runtime_threads_per_node");
   cfg = {};
+  cfg.runtime_threads_per_node = 2;  // one engine per node
+  expect_mentions(cfg, "runtime_threads_per_node");
+  cfg = {};
   cfg.chunk_elems = 0;
   expect_mentions(cfg, "chunk_elems");
   cfg = {};

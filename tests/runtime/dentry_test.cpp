@@ -64,7 +64,7 @@ TEST(Dentry, ReleaseWakesDrainingRuntime) {
   bell.wait_change(snap);                   // must not hang
   t.join();
   EXPECT_TRUE(d.drained());
-  EXPECT_TRUE(owner.take()) << "the ring must ask for the owning shard's pass";
+  EXPECT_TRUE(owner.take()) << "the ring must ask for the engine's pass";
 }
 
 TEST(Dentry, ReleaseWithoutDelayDoesNotRing) {

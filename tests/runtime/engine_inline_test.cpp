@@ -69,7 +69,6 @@ TEST(EngineInline, RpcFifoPerChunkWhileThreadsRaceForTheLock) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const chaos::FaultPlan plan = flaky_plan(seed);
     rt::ClusterConfig cfg = small_cfg(2, 64, 16);
-    cfg.runtime_threads_per_node = 2;
     cfg.fault_plan = &plan;
     rt::Cluster cluster(cfg);
     auto a = DArray<uint64_t>::create(cluster, 64 * 64);

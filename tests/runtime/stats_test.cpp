@@ -172,7 +172,7 @@ TEST(RuntimeStats, LockWaitsUnderContention) {
   EXPECT_GT(s.lock_waits, 0u) << "four threads on one lock must queue sometimes";
 }
 
-// Every submission to an engine shard either runs the engine pass on the
+// Every submission to the engine either runs the engine pass on the
 // submitting thread or leaves it to another thread's pass; the two counters
 // partition the submissions. Which thread wins the engine lock depends on
 // scheduling, so only the sum is asserted. Node 0 locks an element it homes;
